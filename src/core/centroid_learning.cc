@@ -115,13 +115,17 @@ void CentroidLearner::Observe(const sparksim::ConfigVector& config,
 void CentroidLearner::MaybeUpdateCentroid(double reference_data_size) {
   ObservationWindow window = history_;
   window.insert(window.end(), elites_.begin(), elites_.end());
-  Result<Observation> best =
-      FindBest(space_, window, options_.find_best_version,
-               reference_data_size);
+  // One fit of H serves FIND_BEST and FIND_GRADIENT: both read the same
+  // window, and the fit is deterministic. A failed fit leaves the model
+  // unfitted, and each step falls back on its own.
+  WindowModel model(&space_);
+  (void)model.Fit(window);
+  Result<Observation> best = FindBest(window, options_.find_best_version,
+                                      model, reference_data_size);
   if (!best.ok()) return;
   const sparksim::ConfigVector& c_star = best->config;
   Result<GradientSigns> gradient =
-      FindGradient(space_, window, options_.gradient_method, c_star,
+      FindGradient(space_, window, options_.gradient_method, model, c_star,
                    reference_data_size, alpha_);
   if (!gradient.ok()) {
     // Not enough observations for a gradient yet: anchor on the best point.

@@ -1,9 +1,6 @@
 #include "core/find_best.h"
 
-#include <cmath>
-#include <limits>
-
-#include "core/window_model.h"
+#include <algorithm>
 
 namespace rockhopper::core {
 
@@ -20,9 +17,8 @@ Result<Observation> ArgminBy(const ObservationWindow& window,
 
 }  // namespace
 
-Result<Observation> FindBest(const sparksim::ConfigSpace& space,
-                             const ObservationWindow& window,
-                             FindBestVersion version,
+Result<Observation> FindBest(const ObservationWindow& window,
+                             FindBestVersion version, const WindowModel& model,
                              double reference_data_size) {
   if (window.empty()) return Status::InvalidArgument("empty window");
   std::vector<double> scores(window.size());
@@ -39,10 +35,9 @@ Result<Observation> FindBest(const sparksim::ConfigSpace& space,
       }
       return ArgminBy(window, scores);
     case FindBestVersion::kModelPredicted: {
-      WindowModel model(&space);
-      if (!model.Fit(window).ok()) {
+      if (!model.is_fitted()) {
         // Degenerate window (e.g. a single point): fall back to v2.
-        return FindBest(space, window, FindBestVersion::kNormalized,
+        return FindBest(window, FindBestVersion::kNormalized, model,
                         reference_data_size);
       }
       for (size_t i = 0; i < window.size(); ++i) {

@@ -3,7 +3,7 @@
 
 #include "common/status.h"
 #include "core/observation.h"
-#include "sparksim/config_space.h"
+#include "core/window_model.h"
 
 namespace rockhopper::core {
 
@@ -21,13 +21,13 @@ enum class FindBestVersion {
 };
 
 /// Selects c*, the best configuration among the latest-N observations.
-/// `reference_data_size` is the fixed p used by kModelPredicted (typically
-/// the most recent observation's size); ignored by the other versions.
-/// Fails on an empty window; kModelPredicted falls back to kNormalized when
-/// the window model cannot be fitted.
-Result<Observation> FindBest(const sparksim::ConfigSpace& space,
-                             const ObservationWindow& window,
-                             FindBestVersion version,
+/// `model` is H fitted on `window` by the caller, who shares the one fit
+/// with FindGradient; kModelPredicted scores the window's configs with it at
+/// the fixed `reference_data_size` (typically the most recent observation's
+/// size). The other versions ignore both. Fails on an empty window;
+/// kModelPredicted falls back to kNormalized when the model is unfitted.
+Result<Observation> FindBest(const ObservationWindow& window,
+                             FindBestVersion version, const WindowModel& model,
                              double reference_data_size);
 
 }  // namespace rockhopper::core

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <limits>
 
-#include "core/window_model.h"
 #include "ml/linear_regression.h"
 
 namespace rockhopper::core {
@@ -45,12 +44,13 @@ Result<GradientSigns> LinearSignGradient(const sparksim::ConfigSpace& space,
 }
 
 Result<GradientSigns> ModelSignGradient(const sparksim::ConfigSpace& space,
-                                        const ObservationWindow& window,
+                                        const WindowModel& model,
                                         const sparksim::ConfigVector& c_star,
                                         double reference_data_size,
                                         double alpha) {
-  WindowModel model(&space);
-  ROCKHOPPER_RETURN_IF_ERROR(model.Fit(window));
+  if (!model.is_fitted()) {
+    return Status::FailedPrecondition("window model is not fitted");
+  }
   const size_t d = space.size();
   const size_t combos = static_cast<size_t>(1) << d;
   double best_pred = std::numeric_limits<double>::infinity();
@@ -77,6 +77,7 @@ Result<GradientSigns> ModelSignGradient(const sparksim::ConfigSpace& space,
 Result<GradientSigns> FindGradient(const sparksim::ConfigSpace& space,
                                    const ObservationWindow& window,
                                    GradientMethod method,
+                                   const WindowModel& model,
                                    const sparksim::ConfigVector& c_star,
                                    double reference_data_size, double alpha) {
   if (window.size() < 2) {
@@ -86,7 +87,7 @@ Result<GradientSigns> FindGradient(const sparksim::ConfigSpace& space,
     case GradientMethod::kLinearSign:
       return LinearSignGradient(space, window);
     case GradientMethod::kModelSign:
-      return ModelSignGradient(space, window, c_star, reference_data_size,
+      return ModelSignGradient(space, model, c_star, reference_data_size,
                                alpha);
   }
   return Status::Internal("unknown GradientMethod");

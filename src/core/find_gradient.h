@@ -5,6 +5,7 @@
 
 #include "common/status.h"
 #include "core/observation.h"
+#include "core/window_model.h"
 #include "sparksim/config_space.h"
 
 namespace rockhopper::core {
@@ -29,11 +30,14 @@ enum class GradientMethod {
 using GradientSigns = std::vector<int>;
 
 /// Derives Delta from the latest-N window around the best configuration
-/// `c_star`. `alpha` is the relative probe distance of Eq. (6);
-/// `reference_data_size` fixes p. Fails on windows of fewer than 2 rows.
+/// `c_star`. `model` is H fitted on `window` (the fit FindBest used);
+/// kModelSign probes it, kLinearSign ignores it. `alpha` is the relative
+/// probe distance of Eq. (6); `reference_data_size` fixes p. Fails on
+/// windows of fewer than 2 rows, and for kModelSign on an unfitted model.
 Result<GradientSigns> FindGradient(const sparksim::ConfigSpace& space,
                                    const ObservationWindow& window,
                                    GradientMethod method,
+                                   const WindowModel& model,
                                    const sparksim::ConfigVector& c_star,
                                    double reference_data_size, double alpha);
 

@@ -2,11 +2,15 @@
 
 #include <cmath>
 
-#include "ml/linear_regression.h"
-
 namespace rockhopper::core {
 
 namespace {
+
+// Ridge on both slopes' variances: keeps a constant data size (or a single
+// iteration) solvable without moving any meaningful fit.
+constexpr double kRidge = 1e-8;
+
+}  // namespace
 
 // The trend decomposition behind §4.3's regression model on "iteration
 // number and input cardinality". Two stages instead of one joint fit:
@@ -15,48 +19,48 @@ namespace {
 // Fitting data size first deliberately attributes as much runtime growth as
 // possible to the input, so only growth the input cannot explain counts
 // against the tuner — the conservative direction for a guardrail.
-struct TrendFit {
-  bool ok = false;
-  ml::LinearRegression size_model{1e-8};    // runtime ~ data size
-  ml::LinearRegression trend_model{1e-8};   // residual ~ iteration
-  double mean_runtime = 0.0;
-};
-
-TrendFit FitTrend(const std::vector<Observation>& history) {
-  TrendFit fit;
-  if (history.size() < 3) return fit;
-  ml::Dataset size_data;
-  double sum = 0.0;
-  for (const Observation& obs : history) {
-    size_data.Add({obs.data_size}, obs.runtime);
-    sum += obs.runtime;
-  }
-  fit.mean_runtime = sum / static_cast<double>(history.size());
-  if (!fit.size_model.Fit(size_data).ok()) return fit;
-  ml::Dataset trend_data;
-  for (const Observation& obs : history) {
-    const double residual =
-        obs.runtime - fit.size_model.Predict({obs.data_size});
-    trend_data.Add({static_cast<double>(obs.iteration)}, residual);
-  }
-  if (!fit.trend_model.Fit(trend_data).ok()) return fit;
-  fit.ok = true;
-  return fit;
+//
+// Stage 1 regresses runtime on data size: b = C_sy / C_ss. Stage 2 regresses
+// the stage-1 residual on iteration; the residual's co-moment with iteration
+// is C_ty - b * C_ts, so neither stage needs the rows.
+bool Guardrail::FitTrend(Trend* trend) const {
+  if (count_ < 3 || !std::isfinite(c_ss_)) return false;
+  trend->size_slope = c_sy_ / (c_ss_ + kRidge);
+  trend->iteration_slope =
+      (c_ty_ - trend->size_slope * c_ts_) / (c_tt_ + kRidge);
+  return true;
 }
 
-}  // namespace
+void Guardrail::Accumulate(double data_size, double runtime, int iteration) {
+  ++count_;
+  const double n = static_cast<double>(count_);
+  const double t = static_cast<double>(iteration);
+  // Deviations from the old means; each co-moment pairs one with the
+  // matching deviation from the new mean (Welford's update).
+  const double ds = data_size - mean_s_;
+  const double dt = t - mean_t_;
+  mean_s_ += ds / n;
+  mean_y_ += (runtime - mean_y_) / n;
+  mean_t_ += dt / n;
+  c_ss_ += ds * (data_size - mean_s_);
+  c_sy_ += ds * (runtime - mean_y_);
+  c_ts_ += dt * (data_size - mean_s_);
+  c_ty_ += dt * (runtime - mean_y_);
+  c_tt_ += dt * (t - mean_t_);
+  last_s_ = data_size;
+  last_t_ = iteration;
+}
 
 double Guardrail::PredictNextRuntime() const {
-  const TrendFit fit = FitTrend(history_);
-  if (!fit.ok) return -1.0;
-  const Observation& last = history_.back();
-  return fit.size_model.Predict({last.data_size}) +
-         fit.trend_model.Predict({static_cast<double>(last.iteration + 1)});
+  Trend trend;
+  if (!FitTrend(&trend)) return -1.0;
+  return mean_y_ + trend.size_slope * (last_s_ - mean_s_) +
+         trend.iteration_slope * (static_cast<double>(last_t_ + 1) - mean_t_);
 }
 
 bool Guardrail::Record(const Observation& obs) {
   if (disabled_) return false;
-  history_.push_back(obs);
+  Accumulate(obs.data_size, obs.runtime, obs.iteration);
   // Failure strikes run ahead of the exploration-budget gate: a config that
   // keeps killing jobs is disabled fast, while a lone failure resets before
   // the consecutive counter reaches the strike threshold. Failure strikes
@@ -74,19 +78,16 @@ bool Guardrail::Record(const Observation& obs) {
   } else {
     consecutive_failures_ = 0;
   }
-  if (static_cast<int>(history_.size()) <= options_.min_iterations) {
-    return true;
-  }
-  const TrendFit fit = FitTrend(history_);
-  if (!fit.ok) return true;
+  if (count_ <= options_.min_iterations) return true;
+  Trend trend;
+  if (!FitTrend(&trend)) return true;
   // Projected cumulative regression attributable to tuning: the iteration
   // trend extrapolated over the whole history. A positive drift exceeding
-  // `regression_threshold` of the typical runtime is a strike.
-  const double slope = fit.trend_model.coefficients()[0];
+  // `regression_threshold` of the typical runtime is a strike. A non-finite
+  // runtime makes the drift NaN, which never strikes and clears the count.
   const double projected_drift =
-      slope * static_cast<double>(history_.back().iteration + 1);
-  if (projected_drift >
-      options_.regression_threshold * std::fabs(fit.mean_runtime)) {
+      trend.iteration_slope * static_cast<double>(obs.iteration + 1);
+  if (projected_drift > options_.regression_threshold * std::fabs(mean_y_)) {
     ++strikes_;
     if (strikes_ >= options_.max_strikes) disabled_ = true;
   } else {
@@ -103,21 +104,12 @@ Status Guardrail::Save(const std::string& prefix,
       writer->PutInt(prefix + ".failure_strikes", failure_strikes_));
   ROCKHOPPER_RETURN_IF_ERROR(writer->PutInt(prefix + ".consecutive_failures",
                                             consecutive_failures_));
-  // One row per observation: [data_size, runtime, iteration, failed,
-  // config...]. Iterations and the failed flag fit exactly in doubles.
-  std::vector<std::vector<double>> rows;
-  rows.reserve(history_.size());
-  for (const Observation& obs : history_) {
-    std::vector<double> row;
-    row.reserve(4 + obs.config.size());
-    row.push_back(obs.data_size);
-    row.push_back(obs.runtime);
-    row.push_back(static_cast<double>(obs.iteration));
-    row.push_back(obs.failed ? 1.0 : 0.0);
-    row.insert(row.end(), obs.config.begin(), obs.config.end());
-    rows.push_back(std::move(row));
-  }
-  return writer->PutDoubleRows(prefix + ".history", rows);
+  // The moments, as hexfloat doubles so they round-trip exactly.
+  ROCKHOPPER_RETURN_IF_ERROR(writer->PutInt(prefix + ".count", count_));
+  return writer->PutDoubles(
+      prefix + ".moments", {mean_s_, mean_y_, mean_t_, c_ss_, c_sy_, c_ts_,
+                            c_ty_, c_tt_, last_s_,
+                            static_cast<double>(last_t_)});
 }
 
 Status Guardrail::Load(const std::string& prefix,
@@ -128,35 +120,29 @@ Status Guardrail::Load(const std::string& prefix,
                               reader.GetInt(prefix + ".failure_strikes"));
   ROCKHOPPER_ASSIGN_OR_RETURN(
       consecutive, reader.GetInt(prefix + ".consecutive_failures"));
-  ROCKHOPPER_ASSIGN_OR_RETURN(rows, reader.GetDoubleRows(prefix + ".history"));
-  std::vector<Observation> history;
-  history.reserve(rows.size());
-  for (const std::vector<double>& row : rows) {
-    if (row.size() < 4) {
-      return Status::InvalidArgument("guardrail history row too short");
-    }
-    Observation obs;
-    obs.data_size = row[0];
-    obs.runtime = row[1];
-    obs.iteration = static_cast<int>(row[2]);
-    obs.failed = row[3] != 0.0;
-    obs.config.assign(row.begin() + 4, row.end());
-    history.push_back(std::move(obs));
+  ROCKHOPPER_ASSIGN_OR_RETURN(count, reader.GetInt(prefix + ".count"));
+  ROCKHOPPER_ASSIGN_OR_RETURN(moments, reader.GetDoubles(prefix + ".moments"));
+  if (count < 0 || moments.size() != 10) {
+    return Status::InvalidArgument("malformed guardrail moments");
   }
-  disabled_ = disabled;
-  strikes_ = static_cast<int>(strikes);
-  failure_strikes_ = static_cast<int>(failure_strikes);
-  consecutive_failures_ = static_cast<int>(consecutive);
-  history_ = std::move(history);
+  Guardrail loaded(options_);
+  loaded.count_ = count;
+  loaded.mean_s_ = moments[0];
+  loaded.mean_y_ = moments[1];
+  loaded.mean_t_ = moments[2];
+  loaded.c_ss_ = moments[3];
+  loaded.c_sy_ = moments[4];
+  loaded.c_ts_ = moments[5];
+  loaded.c_ty_ = moments[6];
+  loaded.c_tt_ = moments[7];
+  loaded.last_s_ = moments[8];
+  loaded.last_t_ = static_cast<int>(moments[9]);
+  loaded.disabled_ = disabled;
+  loaded.strikes_ = static_cast<int>(strikes);
+  loaded.failure_strikes_ = static_cast<int>(failure_strikes);
+  loaded.consecutive_failures_ = static_cast<int>(consecutive);
+  *this = loaded;
   return Status::OK();
-}
-
-size_t Guardrail::ApproxBytes() const {
-  size_t bytes = sizeof(*this);
-  for (const Observation& obs : history_) {
-    bytes += sizeof(Observation) + obs.config.size() * sizeof(double);
-  }
-  return bytes;
 }
 
 }  // namespace rockhopper::core

@@ -1,8 +1,8 @@
 #ifndef ROCKHOPPER_CORE_GUARDRAIL_H_
 #define ROCKHOPPER_CORE_GUARDRAIL_H_
 
+#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/archive.h"
 #include "core/observation.h"
@@ -15,15 +15,20 @@ namespace rockhopper::core {
 ///
 /// After a minimum exploration budget (30 iterations, so every query gets a
 /// fair chance even through early noise), a regression of runtime on input
-/// cardinality and iteration number is fitted over the history, per §4.3.
-/// The fit is two-stage — data size first, then the iteration trend on the
-/// residual — so runtime growth explainable by growing inputs is never
+/// cardinality and iteration number is fitted over the whole history, per
+/// §4.3. The fit is two-stage — data size first, then the iteration trend on
+/// the residual — so runtime growth explainable by growing inputs is never
 /// blamed on the tuner. A strike is recorded when the iteration trend,
 /// projected over the history, exceeds `regression_threshold` of the typical
 /// runtime (a de-noised version of the paper's "predicted next exceeds the
 /// previous execution" check, robust to spike noise); `max_strikes`
 /// consecutive strikes disable tuning permanently and the caller reinstates
 /// the defaults.
+///
+/// The fit runs on running moments, not on a stored history: a count, the
+/// means and the co-moments of (data size, runtime, iteration), updated
+/// Welford-style. Guardrail state is O(1), and one Record costs the same at
+/// any history length.
 struct GuardrailOptions {
   int min_iterations = 30;
   /// Relative excess of predicted-next over previous runtime that counts
@@ -64,18 +69,48 @@ class Guardrail {
   /// monitoring dashboard and tests.
   double PredictNextRuntime() const;
 
-  /// Persists / restores the watchdog state (history, strikes, disabled
+  /// Persists / restores the watchdog state (moments, strikes, disabled
   /// flag) under `prefix`; options are reconstructed by the caller. A
   /// round-trip reproduces Record decisions bit-identically.
   Status Save(const std::string& prefix, common::ArchiveWriter* writer) const;
   Status Load(const std::string& prefix, const common::ArchiveReader& reader);
 
-  /// Approximate resident footprint in bytes (dominated by the history).
-  size_t ApproxBytes() const;
+  /// Approximate resident footprint in bytes; constant.
+  size_t ApproxBytes() const { return sizeof(*this); }
 
  private:
+  /// The two slopes of the trend fit: runtime on data size, then the
+  /// residual on iteration.
+  struct Trend {
+    double size_slope = 0.0;
+    double iteration_slope = 0.0;
+  };
+
+  /// Folds one observation into the running moments.
+  void Accumulate(double data_size, double runtime, int iteration);
+  /// Fits the trend on the moments; false when it cannot be fitted: fewer
+  /// than 3 observations, or a non-finite data-size co-moment. The latter is
+  /// sticky, because Welford's C_ss terms are never negative and NaN
+  /// propagates, so a non-finite or overflowing data size stops the fit for
+  /// good.
+  bool FitTrend(Trend* trend) const;
+
   Options options_;
-  std::vector<Observation> history_;
+  // Running sufficient statistics over every recorded observation: the
+  // count, the means of data size s, runtime y and iteration t, and the
+  // co-moments C_ab = sum (a - mean_a)(b - mean_b).
+  int64_t count_ = 0;
+  double mean_s_ = 0.0;
+  double mean_y_ = 0.0;
+  double mean_t_ = 0.0;
+  double c_ss_ = 0.0;
+  double c_sy_ = 0.0;
+  double c_ts_ = 0.0;
+  double c_ty_ = 0.0;
+  double c_tt_ = 0.0;
+  // The latest observation, the anchor of PredictNextRuntime.
+  double last_s_ = 0.0;
+  int last_t_ = 0;
   bool disabled_ = false;
   int strikes_ = 0;
   int failure_strikes_ = 0;

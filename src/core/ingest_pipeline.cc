@@ -166,7 +166,11 @@ TelemetryVerdict IngestPipeline::IngestOnce(uint64_t signature,
       // imputed runtime is journaled, so recovery still replays identically.
       window = 1;
     }
-    const ObservationWindow recent = store->LastN(signature, window);
+    // Only imputation reads the window, so a success skips the copy; the
+    // section above still runs on every event, keeping sim draws aligned.
+    const ObservationWindow recent = event.failed
+                                         ? store->LastN(signature, window)
+                                         : ObservationWindow();
     const int fallback_before = state->fallback_remaining;
     obs = failure_policy_.Apply(event, recent, store->Count(signature), state);
     if (state->fallback_remaining > fallback_before) {

@@ -65,7 +65,8 @@ class FailurePolicyStage {
 
   /// Builds the observation for `event` (iteration = `iteration`) and, when
   /// the event is a failure, advances `state`'s streak/fallback/backoff; a
-  /// success resets the streak but keeps the widened backoff.
+  /// success resets the streak but keeps the widened backoff. Only a failed
+  /// event reads `recent` (for imputation).
   Observation Apply(const QueryEndEvent& event, const ObservationWindow& recent,
                     size_t iteration, QueryState* state) const;
 

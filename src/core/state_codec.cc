@@ -12,7 +12,7 @@ namespace rockhopper::core {
 namespace {
 
 constexpr char kMagic[] = "rockhopper-state";
-constexpr char kVersion[] = "v1";
+constexpr char kVersion[] = "v2";
 
 }  // namespace
 

@@ -13,14 +13,16 @@ namespace rockhopper::core {
 /// cold-tier artifact format of the tiered state layer. An artifact is a
 /// header line
 ///
-///   rockhopper-state v1 <crc32-hex8> <payload-bytes>
+///   rockhopper-state v2 <crc32-hex8> <payload-bytes>
 ///
 /// followed by an ArchiveWriter payload holding the tuner (centroid, windows,
-/// GP factorization, generator position), the guardrail and the
-/// failure-policy scalars. The CRC covers the whole payload, so a torn or
-/// bit-flipped cold artifact is detected on fault-in (kDataLoss) instead of
-/// resurrecting silent garbage — the journal's torn-tail discipline applied
-/// to evicted model state.
+/// GP factorization, generator position), the guardrail's running moments
+/// and the failure-policy scalars. v1 artifacts, whose guardrail stored its
+/// whole history, are refused as an unsupported version; the service then
+/// rebuilds the state by replaying its history. The CRC covers the whole
+/// payload, so a torn or bit-flipped cold artifact is detected on fault-in
+/// (kDataLoss) instead of resurrecting silent garbage — the journal's
+/// torn-tail discipline applied to evicted model state.
 ///
 /// The codec persists only per-signature *learned* state. Shared context
 /// (config space, baseline model, scorer/tuner options, the derived seed) is
@@ -37,8 +39,8 @@ Result<std::string> EncodeQueryState(const QueryState& state);
 /// constructed with the same shared context the encoded state had (same
 /// space, options and tuner seed); its learned fields are overwritten.
 /// Returns kDataLoss on a bad header, length mismatch or CRC mismatch, and
-/// kInvalidArgument when the artifact has tuner state but `state` has no
-/// tuner (or vice versa).
+/// kInvalidArgument on another version or when the artifact has tuner state
+/// but `state` has no tuner (or vice versa).
 Status DecodeQueryState(const std::string& artifact, QueryState* state);
 
 /// Approximate resident footprint of `state` in bytes — the accounting unit

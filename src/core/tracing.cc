@@ -206,7 +206,8 @@ ServiceMetrics::ServiceMetrics() {
   net_shed_global = shed_layer("global");
   net_request_seconds = reg.GetHistogram(
       "rockhopper_net_request_seconds",
-      "Server-side request latency, frame decoded to response queued",
+      "Server-side time in the tuning service call (OnQueryStart, or the "
+      "whole OnQueryEndBatch per batched observe)",
       latency);
   net_batch_size = reg.GetHistogram(
       "rockhopper_net_batch_size",

@@ -125,7 +125,7 @@ struct ServiceMetrics {
   /// rockhopper_net_shed_total{layer=...}: kBusy responses by shedding layer.
   common::Counter* net_shed_tenant;   ///< per-tenant token bucket
   common::Counter* net_shed_global;   ///< Ratekeeper-style global controller
-  common::Histogram* net_request_seconds;  ///< decode→response, server side
+  common::Histogram* net_request_seconds;  ///< service call, server side
   common::Histogram* net_batch_size;       ///< observes per service batch
   common::Gauge* net_queue_depth;          ///< in-flight decoded requests
   common::Gauge* admission_rate;           ///< admitted fraction in [0, 1]

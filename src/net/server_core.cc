@@ -274,8 +274,8 @@ void Session::Flush(std::string* out) {
   const std::vector<core::TelemetryVerdict> verdicts =
       core_->service()->OnQueryEndBatch(entries);
   const double elapsed = NowSeconds() - start;
-  // One service pass served the whole batch; each request in it saw the
-  // same decode-to-response latency.
+  // One service pass served the whole batch; each request in it is charged
+  // the whole call.
   for (size_t i = 0; i < pending_.size(); ++i) {
     core_->metrics().net_request_seconds->Observe(elapsed);
     AppendResponse(out, WireStatus::kOk, pending_[i].tenant, pending_[i].seq,

@@ -16,6 +16,19 @@ Observation Obs(const sparksim::ConfigVector& config, double data_size,
   return o;
 }
 
+// FindGradient with H fitted on the window, as the centroid learner calls
+// it.
+Result<GradientSigns> Gradient(const sparksim::ConfigSpace& space,
+                               const ObservationWindow& window,
+                               GradientMethod method,
+                               const sparksim::ConfigVector& c_star,
+                               double reference_data_size, double alpha) {
+  WindowModel model(&space);
+  (void)model.Fit(window);
+  return FindGradient(space, window, method, model, c_star,
+                      reference_data_size, alpha);
+}
+
 class FindGradientTest : public ::testing::Test {
  protected:
   // A window sampled around `center` with runtimes from `f`, optional noise.
@@ -37,8 +50,8 @@ class FindGradientTest : public ::testing::Test {
 TEST_F(FindGradientTest, RequiresTwoObservations) {
   const sparksim::ConfigSpace space = sparksim::QueryLevelSpace();
   ObservationWindow w = {Obs(space.Defaults(), 1.0, 1.0)};
-  EXPECT_FALSE(FindGradient(space, w, GradientMethod::kLinearSign,
-                            space.Defaults(), 1.0, 0.2)
+  EXPECT_FALSE(Gradient(space, w, GradientMethod::kLinearSign,
+                        space.Defaults(), 1.0, 0.2)
                    .ok());
 }
 
@@ -48,7 +61,7 @@ TEST_F(FindGradientTest, LinearSignPointsDownhill) {
   const sparksim::SyntheticFunction f = sparksim::SyntheticFunction::Default();
   const sparksim::ConfigVector high = f.space().Denormalize({0.95, 0.95, 0.95});
   const ObservationWindow w = SampleWindow(f, high, 20, 0.0, 1);
-  Result<GradientSigns> delta = FindGradient(
+  Result<GradientSigns> delta = Gradient(
       f.space(), w, GradientMethod::kLinearSign, high, 1.0, 0.2);
   ASSERT_TRUE(delta.ok());
   for (size_t i = 0; i < delta->size(); ++i) {
@@ -60,7 +73,7 @@ TEST_F(FindGradientTest, LinearSignFlipsBelowOptimum) {
   const sparksim::SyntheticFunction f = sparksim::SyntheticFunction::Default();
   const sparksim::ConfigVector low = f.space().Denormalize({0.05, 0.05, 0.05});
   const ObservationWindow w = SampleWindow(f, low, 20, 0.0, 2);
-  Result<GradientSigns> delta = FindGradient(
+  Result<GradientSigns> delta = Gradient(
       f.space(), w, GradientMethod::kLinearSign, low, 1.0, 0.2);
   ASSERT_TRUE(delta.ok());
   for (size_t i = 0; i < delta->size(); ++i) {
@@ -77,7 +90,7 @@ TEST_F(FindGradientTest, LinearSignSurvivesHeavyNoiseWithLargeN) {
   const int trials = 20;
   for (int t = 0; t < trials; ++t) {
     const ObservationWindow w = SampleWindow(f, high, 20, 1.0, 100 + t);
-    Result<GradientSigns> delta = FindGradient(
+    Result<GradientSigns> delta = Gradient(
         f.space(), w, GradientMethod::kLinearSign, high, 1.0, 0.2);
     ASSERT_TRUE(delta.ok());
     if ((*delta)[0] == 1) ++correct;  // the most impactful dimension
@@ -91,7 +104,7 @@ TEST_F(FindGradientTest, ModelSignMatchesLinearOnMonotoneRegion) {
   const sparksim::SyntheticFunction f = sparksim::SyntheticFunction::Default();
   const sparksim::ConfigVector high = f.space().Denormalize({0.9, 0.9, 0.9});
   const ObservationWindow w = SampleWindow(f, high, 25, 0.0, 3);
-  Result<GradientSigns> model_delta = FindGradient(
+  Result<GradientSigns> model_delta = Gradient(
       f.space(), w, GradientMethod::kModelSign, high, 1.0, 0.2);
   ASSERT_TRUE(model_delta.ok());
   // Downhill means shrinking the over-sized configs: all +1.
@@ -103,8 +116,8 @@ TEST_F(FindGradientTest, ModelSignReturnsFullSignVector) {
   const ObservationWindow w =
       SampleWindow(f, f.space().Defaults(), 15, 0.0, 4);
   Result<GradientSigns> delta =
-      FindGradient(f.space(), w, GradientMethod::kModelSign,
-                   f.space().Defaults(), 1.0, 0.2);
+      Gradient(f.space(), w, GradientMethod::kModelSign,
+               f.space().Defaults(), 1.0, 0.2);
   ASSERT_TRUE(delta.ok());
   ASSERT_EQ(delta->size(), 3u);
   for (int s : *delta) {

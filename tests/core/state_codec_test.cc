@@ -1,6 +1,7 @@
 #include "core/state_codec.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -10,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/centroid_learning.h"
 #include "core/embedding.h"
 #include "core/model_store.h"
@@ -35,12 +37,51 @@ QueryState MakeState(const sparksim::ConfigSpace& space,
   return state;
 }
 
+/// Guardrail options that strike readily and never disable, so every step
+/// of a continuation stream is a decision worth comparing.
+GuardrailOptions StrikingOptions() {
+  GuardrailOptions options;
+  options.min_iterations = 10;
+  options.max_strikes = 1 << 30;
+  options.max_failure_strikes = 1 << 30;
+  return options;
+}
+
+/// Observation `i` of a noisy stream whose runtime regresses for a while,
+/// then recovers, with a failure every 17th run.
+Observation GuardrailStreamObs(int i, common::Rng* rng) {
+  Observation obs;
+  obs.config = {1.0, 2.0, 3.0};
+  obs.iteration = i;
+  obs.data_size = 1e9 * (1.0 + 0.1 * (i % 5));
+  const double trend = i < 60 ? 0.5 * i : 30.0 - 0.2 * (i - 60);
+  obs.runtime = 40.0 + trend + rng->Uniform(0.0, 3.0);
+  obs.failed = i % 17 == 16;
+  return obs;
+}
+
+/// Feeds observations [from, to) of the stream to both guardrails and
+/// asserts equal decisions at every step.
+void ExpectSameGuardrailDecisions(Guardrail* a, Guardrail* b, int from, int to,
+                                  uint64_t seed) {
+  common::Rng rng(seed);
+  for (int i = 0; i < to; ++i) {
+    const Observation obs = GuardrailStreamObs(i, &rng);
+    if (i < from) continue;
+    ASSERT_EQ(a->Record(obs), b->Record(obs)) << "step " << i;
+    ASSERT_EQ(a->strikes(), b->strikes()) << "step " << i;
+    ASSERT_EQ(a->failure_strikes(), b->failure_strikes()) << "step " << i;
+    ASSERT_EQ(a->disabled(), b->disabled()) << "step " << i;
+  }
+}
+
 class StateCodecTest : public ::testing::Test {
  protected:
   StateCodecTest() : space_(sparksim::QueryLevelSpace()) {
+    // Keyed by process id: ctest runs tests as concurrent processes, and
+    // a fixture address can repeat across them (it does under ASan).
     store_dir_ = (std::filesystem::temp_directory_path() /
-                  ("rockhopper_state_codec_" +
-                   std::to_string(reinterpret_cast<uintptr_t>(this))))
+                  ("rockhopper_state_codec_" + std::to_string(::getpid())))
                      .string();
     std::filesystem::remove_all(store_dir_);
   }
@@ -142,6 +183,15 @@ TEST_F(StateCodecTest, DecodeRejectsDamage) {
   QueryState target3 = MakeState(space_, plan, 7);
   EXPECT_EQ(DecodeQueryState("not a state artifact", &target3).code(),
             StatusCode::kDataLoss);
+
+  // A v1 artifact (its guardrail stored the whole history) is refused, so
+  // the service replays the history instead.
+  std::string stale = *artifact;
+  ASSERT_EQ(stale.rfind("rockhopper-state v2 ", 0), 0u);
+  stale.replace(0, 19, "rockhopper-state v1");
+  QueryState target4 = MakeState(space_, plan, 7);
+  EXPECT_EQ(DecodeQueryState(stale, &target4).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(StateCodecTest, ApproxBytesNonTrivial) {
@@ -156,6 +206,52 @@ TEST_F(StateCodecTest, ApproxBytesNonTrivial) {
     state.tuner->Observe(c, 1e9, 30.0);
   }
   EXPECT_GE(ApproxQueryStateBytes(state), empty_bytes);
+}
+
+TEST_F(StateCodecTest, GuardrailMomentsRoundTripKeepsDecisions) {
+  const sparksim::QueryPlan plan = sparksim::TpchPlan(4);
+  QueryState live = MakeState(space_, plan, 5);
+  live.guardrail = Guardrail(StrikingOptions());
+  common::Rng rng(21);
+  for (int i = 0; i < 50; ++i) {
+    live.guardrail.Record(GuardrailStreamObs(i, &rng));
+  }
+  ASSERT_GT(live.guardrail.strikes(), 0);
+
+  Result<std::string> artifact = EncodeQueryState(live);
+  ASSERT_TRUE(artifact.ok());
+  EXPECT_EQ(artifact->find("guardrail.history"), std::string::npos);
+  QueryState restored = MakeState(space_, plan, 5);
+  restored.guardrail = Guardrail(StrikingOptions());
+  ASSERT_TRUE(DecodeQueryState(*artifact, &restored).ok());
+  EXPECT_EQ(restored.guardrail.strikes(), live.guardrail.strikes());
+  EXPECT_EQ(restored.guardrail.PredictNextRuntime(),
+            live.guardrail.PredictNextRuntime());
+  // The continuation crosses recovery (strikes reset) and failures.
+  ExpectSameGuardrailDecisions(&live.guardrail, &restored.guardrail, 50, 200,
+                               21);
+}
+
+TEST_F(StateCodecTest, ApproxBytesFlatOnceWindowsFill) {
+  // Once the CL window and the elites are full, a state's footprint no
+  // longer depends on how often its query recurred: the guardrail keeps
+  // moments, not history.
+  const sparksim::QueryPlan plan = sparksim::TpchPlan(6);
+  QueryState state = MakeState(space_, plan, 10);
+  common::Rng rng(23);
+  size_t bytes_at_20 = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const sparksim::ConfigVector c = state.tuner->Propose(1e9);
+    Observation obs;
+    obs.config = c;
+    obs.data_size = 1e9;
+    obs.runtime = 30.0 + rng.Uniform(0.0, 5.0);
+    obs.iteration = i;
+    state.tuner->Observe(obs.config, obs.data_size, obs.runtime);
+    state.guardrail.Record(obs);
+    if (i + 1 == 20) bytes_at_20 = ApproxQueryStateBytes(state);
+  }
+  EXPECT_EQ(ApproxQueryStateBytes(state), bytes_at_20);
 }
 
 /// The tentpole contract: with tiering armed and a budget so small every

@@ -47,7 +47,9 @@ TEST_P(FindBestExactness, PicksTrueArgminOnCleanWindow) {
       best_runtime = std::min(best_runtime, obs.runtime);
       window.push_back(std::move(obs));
     }
-    const auto best = FindBest(space, window, GetParam(), 1.0);
+    core::WindowModel model(&space);
+    (void)model.Fit(window);
+    const auto best = FindBest(window, GetParam(), model, 1.0);
     ASSERT_TRUE(best.ok());
     // v3's regularized model may not be exact; it must still land in the
     // top third of the window. v1/v2 are exact by construction.

@@ -1015,8 +1015,8 @@ int RunServeListen(const Args& args) {
               static_cast<unsigned long long>(m.net_bad_crc->Value()),
               static_cast<unsigned long long>(m.net_bad_frame->Value()),
               static_cast<unsigned long long>(m.net_bad_payload->Value()));
-  // Histogram-derived latency quantiles (the Percentile helper): the
-  // server-side decode-to-response distribution.
+  // Histogram-derived latency quantiles (the Percentile helper): time in
+  // the tuning service call, server side.
   std::printf("request latency: p50 %.6f s, p99 %.6f s over %llu requests; "
               "mean batch %.1f\n",
               m.net_request_seconds->Percentile(0.50),
