@@ -11,7 +11,7 @@
 //    process budget: resident state + observation history together must fit
 //    under ROCKHOPPER_STATE_SHARED (the CLI --memory-budget analogue),
 //  - proposal fidelity: first post-recovery proposals of touched signatures
-//    must be bit-identical to an unevicted twin replaying the same history.
+//    must be bit-identical to an unevicted twin recovering the same history.
 //
 // The signature population is split: the bulk are raw synthetic signature
 // values (their tuners never materialize, so no plan is ever needed), and a
@@ -111,10 +111,12 @@ int main() {
       (std::filesystem::temp_directory_path() / "rockhopper_state_scale")
           .string();
   const std::string journal_path = stem + ".journal";
+  const std::string twin_journal_path = stem + ".twin.journal";
   const std::string store_dir = stem + ".store";
   auto cleanup = [&] {
     std::error_code ec;
     std::filesystem::remove(journal_path, ec);
+    std::filesystem::remove(twin_journal_path, ec);
     std::filesystem::remove(core::CheckpointPath(journal_path), ec);
     std::filesystem::remove(core::CheckpointPath(journal_path) + ".tmp", ec);
     auto deltas = core::ListCheckpointDeltas(journal_path);
@@ -251,11 +253,12 @@ int main() {
     std::printf(
         "delta_s=%.2f churn_records=%zu delta_index=%llu delta_bytes=%zu "
         "full_bytes=%zu delta_ratio=%.4f delta_ratio_ok=%d "
-        "deltas_replayed=%zu digest_ok=%d\n",
+        "deltas_replayed=%zu digest_ok=%d digest=%llu\n",
         Seconds(t_delta0, t_delta1), churn,
         static_cast<unsigned long long>(delta->delta_index),
         delta->bytes_written, report->bytes_written, delta_ratio,
-        delta_ratio_ok ? 1 : 0, deltas_replayed, digest_ok ? 1 : 0);
+        delta_ratio_ok ? 1 : 0, deltas_replayed, digest_ok ? 1 : 0,
+        static_cast<unsigned long long>(digest_post));
 
     // Sample histories ride in the live tail, replayed after the chain.
     for (uint64_t signature : sample_signatures) {
@@ -369,14 +372,32 @@ int main() {
       static_cast<unsigned long long>(service.observations().TruncatedTotal()),
       within_shared_budget ? 1 : 0);
 
-  // Phase 4: proposal fidelity. An unevicted twin replays the identical
-  // history eagerly; first proposals must be bit-identical.
+  // Phase 4: proposal fidelity. An unevicted twin recovers the identical
+  // history eagerly from a journal of its own; first proposals must be
+  // bit-identical.
+  std::vector<sparksim::QueryPlan> checked_plans;
+  {
+    auto journal = core::ObservationJournal::Open(twin_journal_path);
+    bool written = journal.ok();
+    for (size_t i = 0; written && i < checks; ++i) {
+      const uint64_t signature = sample_signatures[i];
+      checked_plans.push_back(sample_plans.at(signature));
+      for (const core::Observation& obs :
+           service.observations().History(signature)) {
+        written = written && journal->Append(signature, obs).ok();
+      }
+    }
+    if (!written || !journal->Close().ok()) {
+      std::fprintf(stderr, "twin journal write failed\n");
+      return 1;
+    }
+  }
   core::TuningService twin(space, nullptr, {}, kServiceSeed);
-  bool identical = true;
+  bool identical = twin.RecoverFromCheckpoint(twin_journal_path, checked_plans)
+                       .ok();
   for (size_t i = 0; i < checks; ++i) {
+    const sparksim::QueryPlan& plan = checked_plans[i];
     const uint64_t signature = sample_signatures[i];
-    const sparksim::QueryPlan& plan = sample_plans.at(signature);
-    twin.ReplayHistory(plan, service.observations().History(signature));
     if (twin.OnQueryStart(plan, 1e9) != first_proposals[i]) {
       identical = false;
       std::fprintf(stderr, "proposal mismatch for signature %llu\n",

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -37,17 +38,11 @@ struct RecordFile {
   size_t records_dropped = 0;
   size_t bytes_dropped = 0;
   bool clean = true;
-  // Checkpoint metadata (checkpoint files only).
-  uint64_t last_segment = 0;
-  size_t declared_records = 0;
-  // Delta metadata (delta files only).
-  uint64_t chain_index = 0;
-  uint64_t base_seq = 0;
 };
 
 /// Scans journal-format record lines in `text` starting at `pos`; the first
-/// invalid line ends the valid prefix (the strictly-sequential-writer
-/// argument of ObservationJournal::Recover).
+/// invalid line ends the valid prefix (the writer is strictly sequential, so
+/// a corrupt record means corruption reached at least this offset).
 void ScanRecordLines(const std::string& text, size_t pos, RecordFile* file) {
   while (pos < text.size()) {
     const size_t newline = text.find('\n', pos);
@@ -78,126 +73,142 @@ void ScanRecordLines(const std::string& text, size_t pos, RecordFile* file) {
   }
 }
 
-/// Reads a record file, validating every line's CRC and payload; the first
-/// bad line ends the valid prefix (the strictly-sequential-writer argument
-/// of ObservationJournal::Recover). `checkpoint_header` selects which of the
-/// two header formats the first line must match.
-Result<RecordFile> ReadRecordFile(const std::string& path,
-                                  bool checkpoint_header) {
+/// A file whose valid lines disagree with its header's record count is
+/// damaged even when every line checks: truncation on a line boundary, or a
+/// damaged count, looks clean line by line.
+void CheckDeclared(size_t declared, RecordFile* file) {
+  if (!file->clean || file->lines.size() == declared) return;
+  file->clean = false;
+  if (declared > file->lines.size()) {
+    file->records_dropped += declared - file->lines.size();
+  }
+}
+
+Result<std::string> ReadWhole(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::NotFound("cannot open: " + path);
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  const std::string text = buffer.str();
+  return buffer.str();
+}
 
-  RecordFile file;
-  const size_t header_end = text.find('\n');
-  if (header_end == std::string::npos) {
-    return Status::InvalidArgument("missing header line: " + path);
+/// The first line of `path`, without reading the rest; false when absent.
+bool ReadHeaderLine(const std::string& path, std::string* header) {
+  std::ifstream in(path, std::ios::binary);
+  return in && std::getline(in, *header);
+}
+
+/// `text`'s first line and the offset of what follows it; false when there
+/// is no complete first line.
+bool SplitHeader(const std::string& text, std::string* header, size_t* body) {
+  const size_t newline = text.find('\n');
+  if (newline == std::string::npos) return false;
+  *header = text.substr(0, newline);
+  *body = newline + 1;
+  return true;
+}
+
+/// "rockhopper-checkpoint v1 <last-segment> <record-count>"
+struct CheckpointHeader {
+  uint64_t last_segment = 0;
+  size_t records = 0;
+};
+
+bool ParseCheckpointHeader(const std::string& line, CheckpointHeader* header) {
+  char magic[32], version[16];
+  return std::sscanf(line.c_str(), "%31s %15s %" SCNu64 " %zu", magic, version,
+                     &header->last_segment, &header->records) == 4 &&
+         std::strcmp(magic, kCheckpointMagic) == 0 &&
+         std::strcmp(version, kCheckpointVersion) == 0;
+}
+
+/// "rockhopper-ckpt-delta v1 <k> <base-seq> <last-segment> <records> <enc>"
+struct DeltaHeader {
+  uint64_t index = 0;
+  uint64_t base_seq = 0;
+  uint64_t last_segment = 0;
+  size_t records = 0;
+  bool compressed = false;
+};
+
+bool ParseDeltaHeader(const std::string& line, DeltaHeader* header) {
+  char magic[32], version[16], encoding[16];
+  if (std::sscanf(line.c_str(),
+                  "%31s %15s %" SCNu64 " %" SCNu64 " %" SCNu64 " %zu %15s",
+                  magic, version, &header->index, &header->base_seq,
+                  &header->last_segment, &header->records, encoding) != 7 ||
+      std::strcmp(magic, kDeltaMagic) != 0 ||
+      std::strcmp(version, kDeltaVersion) != 0) {
+    return false;
   }
-  const std::string header = text.substr(0, header_end);
-  if (checkpoint_header) {
-    char magic[32], version[16];
-    uint64_t last_segment = 0;
-    size_t declared = 0;
-    if (std::sscanf(header.c_str(), "%31s %15s %" SCNu64 " %zu", magic,
-                    version, &last_segment, &declared) != 4 ||
-        std::string(magic) != kCheckpointMagic ||
-        std::string(version) != kCheckpointVersion) {
-      return Status::InvalidArgument("not a rockhopper checkpoint: " + path);
-    }
-    file.last_segment = last_segment;
-    file.declared_records = declared;
-  } else if (header != kJournalHeader) {
+  header->compressed = std::strcmp(encoding, "lz") == 0;
+  return header->compressed || std::strcmp(encoding, "raw") == 0;
+}
+
+/// Reads a live journal or sealed segment; the first bad line ends the
+/// valid prefix. kInvalidArgument for a foreign or missing header.
+Result<RecordFile> ReadJournalFile(const std::string& path) {
+  ROCKHOPPER_ASSIGN_OR_RETURN(text, ReadWhole(path));
+  std::string header;
+  size_t body = 0;
+  if (!SplitHeader(text, &header, &body) || header != kJournalHeader) {
     return Status::InvalidArgument("not a rockhopper journal: " + path);
   }
-
-  ScanRecordLines(text, header_end + 1, &file);
-  // A checkpoint shorter than its declared count lost whole trailing lines
-  // (truncation on a line boundary looks clean line-by-line).
-  if (checkpoint_header && file.clean &&
-      file.lines.size() < file.declared_records) {
-    file.clean = false;
-    file.records_dropped += file.declared_records - file.lines.size();
-  }
+  RecordFile file;
+  ScanRecordLines(text, body, &file);
   return file;
 }
 
-/// Reads and validates one delta file. Damage never fails the call: a torn
-/// raw body keeps its valid line prefix, an undecodable compressed body
-/// keeps nothing — both are reported through the dropped counters so the
-/// chain replay can stop at the first unhealthy link.
-Result<RecordFile> ReadDeltaFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-
+/// Reads the full image, validating every line and the declared count.
+Result<RecordFile> ReadCheckpointFile(const std::string& path,
+                                      CheckpointHeader* header) {
+  ROCKHOPPER_ASSIGN_OR_RETURN(text, ReadWhole(path));
+  std::string line;
+  size_t body = 0;
+  if (!SplitHeader(text, &line, &body) ||
+      !ParseCheckpointHeader(line, header)) {
+    return Status::InvalidArgument("not a rockhopper checkpoint: " + path);
+  }
   RecordFile file;
-  const size_t header_end = text.find('\n');
-  if (header_end == std::string::npos) {
-    return Status::InvalidArgument("missing header line: " + path);
-  }
-  char magic[32], version[16], encoding[16];
-  uint64_t chain_index = 0, base_seq = 0, last_segment = 0;
-  size_t declared = 0;
-  if (std::sscanf(text.substr(0, header_end).c_str(),
-                  "%31s %15s %" SCNu64 " %" SCNu64 " %" SCNu64 " %zu %15s",
-                  magic, version, &chain_index, &base_seq, &last_segment,
-                  &declared, encoding) != 7 ||
-      std::string(magic) != kDeltaMagic ||
-      std::string(version) != kDeltaVersion) {
-    return Status::InvalidArgument("not a rockhopper checkpoint delta: " +
-                                   path);
-  }
-  file.chain_index = chain_index;
-  file.base_seq = base_seq;
-  file.last_segment = last_segment;
-  file.declared_records = declared;
+  ScanRecordLines(text, body, &file);
+  CheckDeclared(header->records, &file);
+  return file;
+}
 
-  const std::string_view body(text.data() + header_end + 1,
-                              text.size() - header_end - 1);
-  std::string decoded;
-  if (std::string(encoding) == "lz") {
-    Result<std::string> raw = common::DecodeCompressed(body);
+/// Reads chain link `k`. Damage never fails the call: a header that does
+/// not parse or names another index keeps nothing, a torn raw body keeps
+/// its valid line prefix, an undecodable compressed body keeps nothing —
+/// all reported through the dropped counters so the chain replay stops at
+/// the first unhealthy link.
+Result<RecordFile> ReadDeltaFile(const std::string& path, uint64_t k,
+                                 DeltaHeader* header) {
+  ROCKHOPPER_ASSIGN_OR_RETURN(text, ReadWhole(path));
+  RecordFile file;
+  std::string line;
+  size_t body = 0;
+  if (!SplitHeader(text, &line, &body) || !ParseDeltaHeader(line, header) ||
+      header->index != k) {
+    *header = DeltaHeader();
+    file.clean = false;
+    file.bytes_dropped = text.size();
+    return file;
+  }
+  if (!header->compressed) {
+    ScanRecordLines(text, body, &file);
+  } else {
+    Result<std::string> raw = common::DecodeCompressed(
+        std::string_view(text.data() + body, text.size() - body));
     if (!raw.ok()) {
       // The whole body is one envelope: damage loses every record in it.
       file.clean = false;
-      file.records_dropped = declared;
-      file.bytes_dropped = body.size();
+      file.records_dropped = header->records;
+      file.bytes_dropped = text.size() - body;
       return file;
     }
-    decoded = std::move(*raw);
-    ScanRecordLines(decoded, 0, &file);
-  } else {
-    ScanRecordLines(text, header_end + 1, &file);
+    ScanRecordLines(*raw, 0, &file);
   }
-  if (file.clean && file.lines.size() < file.declared_records) {
-    file.clean = false;
-    file.records_dropped += file.declared_records - file.lines.size();
-  }
+  CheckDeclared(header->records, &file);
   return file;
-}
-
-/// Header-only read of a delta's metadata; false when absent/unparseable.
-bool DeltaHeaderOrFalse(const std::string& path, uint64_t* chain_index,
-                        uint64_t* base_seq, uint64_t* last_segment) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::string header;
-  if (!std::getline(in, header)) return false;
-  char magic[32], version[16], encoding[16];
-  size_t declared = 0;
-  if (std::sscanf(header.c_str(),
-                  "%31s %15s %" SCNu64 " %" SCNu64 " %" SCNu64 " %zu %15s",
-                  magic, version, chain_index, base_seq, last_segment,
-                  &declared, encoding) != 7 ||
-      std::string(magic) != kDeltaMagic ||
-      std::string(version) != kDeltaVersion) {
-    return false;
-  }
-  return true;
 }
 
 Status ReplayLines(const std::vector<std::string>& lines,
@@ -211,26 +222,6 @@ Status ReplayLines(const std::vector<std::string>& lines,
     store->Append(signature, std::move(obs));
   }
   return Status::OK();
-}
-
-/// Header-only read of a checkpoint's sequence number; 0 when the file is
-/// absent or unparseable (a damaged header fails loudly later, in the full
-/// ReadRecordFile pass).
-uint64_t CheckpointSeqOrZero(const std::string& checkpoint_path) {
-  std::ifstream in(checkpoint_path, std::ios::binary);
-  if (!in) return 0;
-  std::string header;
-  if (!std::getline(in, header)) return 0;
-  char magic[32], version[16];
-  uint64_t last_segment = 0;
-  size_t declared = 0;
-  if (std::sscanf(header.c_str(), "%31s %15s %" SCNu64 " %zu", magic, version,
-                  &last_segment, &declared) != 4 ||
-      std::string(magic) != kCheckpointMagic ||
-      std::string(version) != kCheckpointVersion) {
-    return 0;
-  }
-  return last_segment;
 }
 
 }  // namespace
@@ -281,17 +272,17 @@ Result<std::vector<std::pair<uint64_t, std::string>>> ListCheckpointDeltas(
 namespace {
 
 /// The on-disk chain as header-only metadata: the full image's sequence,
-/// the valid delta prefix (contiguous indexes from 1, matching base-seq,
+/// the chain's links (contiguous indexes from 1, matching base-seq,
 /// strictly increasing coverage), and everything else as stale files.
 struct ChainInfo {
   bool have_base = false;
   uint64_t base_seq = 0;
-  /// base_seq, or the last valid delta's last-segment.
+  /// base_seq, or the last readable link's last-segment.
   uint64_t chain_seq = 0;
-  std::vector<std::pair<uint64_t, std::string>> valid;
+  std::vector<std::pair<uint64_t, std::string>> links;
   std::vector<std::string> stale;
-  /// Cumulative file size of the valid deltas (the compaction trigger).
-  size_t valid_bytes = 0;
+  /// Cumulative file size of the links (the compaction trigger).
+  size_t link_bytes = 0;
 };
 
 Result<ChainInfo> DiscoverChain(const std::string& journal_path) {
@@ -299,22 +290,33 @@ Result<ChainInfo> DiscoverChain(const std::string& journal_path) {
   const std::string checkpoint_path = CheckpointPath(journal_path);
   std::error_code ec;
   info.have_base = std::filesystem::exists(checkpoint_path, ec);
-  info.base_seq = CheckpointSeqOrZero(checkpoint_path);
+  std::string line;
+  CheckpointHeader base;
+  if (ReadHeaderLine(checkpoint_path, &line) &&
+      ParseCheckpointHeader(line, &base)) {
+    info.base_seq = base.last_segment;
+  }
   ROCKHOPPER_ASSIGN_OR_RETURN(deltas, ListCheckpointDeltas(journal_path));
   uint64_t prev_seq = info.base_seq;
-  uint64_t expect = 1;
   bool chain_open = info.have_base;
   for (const auto& [index, path] : deltas) {
-    uint64_t chain_index = 0, base_seq = 0, last_segment = 0;
+    DeltaHeader header;
     const bool parsed =
-        DeltaHeaderOrFalse(path, &chain_index, &base_seq, &last_segment);
-    if (chain_open && parsed && index == expect && chain_index == index &&
-        base_seq == info.base_seq && last_segment > prev_seq) {
-      info.valid.emplace_back(index, path);
+        ReadHeaderLine(path, &line) && ParseDeltaHeader(line, &header);
+    const bool next_link = chain_open && index == info.links.size() + 1;
+    // A published link whose header does not parse, or names another
+    // index, is damage rather than a leftover: it keeps its place, so the
+    // chain breaks there (recovery reports the loss) and the next writer
+    // stacks past it instead of overwriting it. Only a header that parses
+    // and names another base image is stale.
+    const bool damaged = !parsed || header.index != index;
+    if (next_link &&
+        (damaged || (header.base_seq == info.base_seq &&
+                     header.last_segment > prev_seq))) {
+      info.links.emplace_back(index, path);
       const auto size = std::filesystem::file_size(path, ec);
-      if (!ec) info.valid_bytes += static_cast<size_t>(size);
-      prev_seq = last_segment;
-      ++expect;
+      if (!ec) info.link_bytes += static_cast<size_t>(size);
+      if (!damaged) prev_seq = header.last_segment;
     } else {
       // Left over from an older chain generation, or past a break in this
       // one — never replayed, deleted by the next writer.
@@ -326,255 +328,213 @@ Result<ChainInfo> DiscoverChain(const std::string& journal_path) {
   return info;
 }
 
-/// Full-read absorption of the valid delta chain, applying the shared
-/// damage rules: the healthy prefix is absorbed whole; the first unhealthy
-/// delta contributes its valid line prefix (advancing coverage only when it
+/// Full-read absorption of the delta chain, applying the shared damage
+/// rules: the healthy prefix is absorbed whole; the first unhealthy link
+/// contributes its valid line prefix (advancing coverage only when it
 /// contributed lines, so surviving segments are never double-absorbed);
 /// everything after the break is dropped.
 struct ChainAbsorption {
-  std::vector<std::string> lines;
+  /// The chain's records, with the damage that cut it short.
+  RecordFile records;
   uint64_t chain_seq = 0;
   size_t deltas_used = 0;
-  size_t records_dropped = 0;
-  size_t bytes_dropped = 0;
-  bool clean = true;
+  /// The first unhealthy link.
   std::string first_damage;
 };
 
 Result<ChainAbsorption> AbsorbDeltaChain(const ChainInfo& chain) {
   ChainAbsorption out;
+  RecordFile& records = out.records;
   out.chain_seq = chain.base_seq;
-  bool broken = false;
-  for (const auto& [index, path] : chain.valid) {
-    ROCKHOPPER_ASSIGN_OR_RETURN(delta, ReadDeltaFile(path));
-    if (broken) {
-      out.records_dropped += delta.declared_records;
+  for (const auto& [index, path] : chain.links) {
+    DeltaHeader header;
+    ROCKHOPPER_ASSIGN_OR_RETURN(delta, ReadDeltaFile(path, index, &header));
+    if (!records.clean) {
+      records.records_dropped += header.records;
       continue;
     }
     if (!delta.lines.empty() || delta.clean) {
-      out.lines.insert(out.lines.end(),
-                       std::make_move_iterator(delta.lines.begin()),
-                       std::make_move_iterator(delta.lines.end()));
-      out.chain_seq = delta.last_segment;
+      records.lines.insert(records.lines.end(),
+                           std::make_move_iterator(delta.lines.begin()),
+                           std::make_move_iterator(delta.lines.end()));
+      out.chain_seq = header.last_segment;
       ++out.deltas_used;
     }
     if (!delta.clean) {
-      broken = true;
-      out.clean = false;
-      out.records_dropped += delta.records_dropped;
-      out.bytes_dropped += delta.bytes_dropped;
-      if (out.first_damage.empty()) out.first_damage = path;
+      records.clean = false;
+      records.records_dropped += delta.records_dropped;
+      records.bytes_dropped += delta.bytes_dropped;
+      out.first_damage = path;
     }
-  }
-  if (!out.clean && out.first_damage.empty() && !chain.valid.empty()) {
-    out.first_damage = chain.valid.front().second;
   }
   return out;
 }
 
-}  // namespace
-
-Result<CheckpointReport> WriteCheckpoint(const std::string& journal_path) {
-  ScopedSpan span(ServiceMetrics::Get().checkpoint_seconds);
-  const std::string checkpoint_path = CheckpointPath(journal_path);
-
-  CheckpointReport report;
-  report.checkpoint_path = checkpoint_path;
-
-  // Base: the previous checkpoint's records (absent on the first compaction).
-  RecordFile base;
-  bool have_checkpoint = false;
-  {
-    Result<RecordFile> read = ReadRecordFile(checkpoint_path, true);
-    if (read.ok()) {
-      base = std::move(*read);
-      have_checkpoint = true;
-    } else if (read.status().code() != StatusCode::kNotFound) {
-      return read.status();
-    }
-  }
-  report.last_segment = base.last_segment;
-  report.records_dropped += base.records_dropped;
-
-  // Collapse the delta chain: its records are part of the image being
-  // rewritten, and its coverage decides which segments are fresh.
-  ROCKHOPPER_ASSIGN_OR_RETURN(chain, DiscoverChain(journal_path));
-  ROCKHOPPER_ASSIGN_OR_RETURN(chained, AbsorbDeltaChain(chain));
-  report.records_dropped += chained.records_dropped;
-  report.deltas_absorbed = chained.deltas_used;
-
-  ROCKHOPPER_ASSIGN_OR_RETURN(segments,
-                              ObservationJournal::ListSegments(journal_path));
-  // Segments at or below the chain sequence were absorbed by an earlier
-  // compaction (full or delta) that crashed before removing them; their
-  // records are already in the chain, so they are deleted without
-  // re-absorbing.
+/// Segments of `journal_path` split at chain sequence `seq`: those above it
+/// are fresh; those at or below it were absorbed by a compaction (full or
+/// delta) that crashed before removing them, so they are deleted without
+/// re-absorbing.
+struct SegmentSplit {
   std::vector<std::pair<uint64_t, std::string>> fresh;
   std::vector<std::string> stale;
-  for (const auto& [index, path] : segments) {
-    if (index > chained.chain_seq) {
-      fresh.emplace_back(index, path);
+};
+
+Result<SegmentSplit> SplitSegments(const std::string& journal_path,
+                                   uint64_t seq) {
+  ROCKHOPPER_ASSIGN_OR_RETURN(segments,
+                              ObservationJournal::ListSegments(journal_path));
+  SegmentSplit split;
+  for (auto& [index, path] : segments) {
+    if (index > seq) {
+      split.fresh.emplace_back(index, std::move(path));
     } else {
-      stale.push_back(path);
+      split.stale.push_back(std::move(path));
     }
   }
-
-  if (fresh.empty() && have_checkpoint && chain.valid.empty()) {
-    // Nothing new to absorb; just finish the interrupted truncation.
-    report.records = base.lines.size();
-    if (!ROCKHOPPER_BUGGIFY("checkpoint.truncate.crash")) {
-      std::error_code ec;
-      for (const std::string& path : stale) {
-        std::filesystem::remove(path, ec);
-      }
-      for (const std::string& path : chain.stale) {
-        std::filesystem::remove(path, ec);
-      }
-    }
-    return report;
-  }
-
-  std::vector<std::string> absorbed = std::move(base.lines);
-  absorbed.insert(absorbed.end(),
-                  std::make_move_iterator(chained.lines.begin()),
-                  std::make_move_iterator(chained.lines.end()));
-  uint64_t last_segment = chained.chain_seq;
-  for (const auto& [index, path] : fresh) {
-    ROCKHOPPER_ASSIGN_OR_RETURN(segment, ReadRecordFile(path, false));
-    absorbed.insert(absorbed.end(),
-                    std::make_move_iterator(segment.lines.begin()),
-                    std::make_move_iterator(segment.lines.end()));
-    // A torn segment tail is a record that was never acked (the sticky
-    // journal error rejected everything after it); dropping it loses
-    // nothing the service promised to keep.
-    report.records_dropped += segment.records_dropped;
-    last_segment = index;
-  }
-
-  // Publish atomically: a crash mid-write leaves only a .tmp file and the
-  // previous checkpoint + segments intact.
-  const std::string tmp_path = checkpoint_path + ".tmp";
-  std::FILE* out = std::fopen(tmp_path.c_str(), "wb");
-  if (out == nullptr) {
-    return Status::IOError("cannot open checkpoint tmp: " + tmp_path);
-  }
-  std::fprintf(out, "%s %s %" PRIu64 " %zu\n", kCheckpointMagic,
-               kCheckpointVersion, last_segment, absorbed.size());
-  if (ROCKHOPPER_BUGGIFY("checkpoint.write.crash")) {
-    // Crash mid-write: a prefix of the records reaches the tmp file, which
-    // is never renamed — recovery must be oblivious to it.
-    for (size_t i = 0; i < absorbed.size() / 2; ++i) {
-      std::fprintf(out, "%s\n", absorbed[i].c_str());
-    }
-    std::fflush(out);
-    std::fclose(out);
-    return Status::IOError("injected checkpoint crash mid-write: " +
-                           tmp_path);
-  }
-  size_t bytes_written = 0;
-  for (const std::string& line : absorbed) {
-    const int wrote = std::fprintf(out, "%s\n", line.c_str());
-    if (wrote < 0) {
-      std::fclose(out);
-      return Status::IOError("checkpoint write failed: " + tmp_path);
-    }
-    bytes_written += static_cast<size_t>(wrote);
-  }
-  if (std::fflush(out) != 0 || std::fclose(out) != 0) {
-    return Status::IOError("checkpoint flush failed: " + tmp_path);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp_path, checkpoint_path, ec);
-  if (ec) {
-    return Status::IOError("checkpoint publish failed: " + checkpoint_path +
-                           ": " + ec.message());
-  }
-
-  report.last_segment = last_segment;
-  report.records = absorbed.size();
-  report.segments_absorbed = fresh.size();
-  report.bytes_written = bytes_written;
-
-  // Truncation: absorbed segments and the collapsed delta chain are now
-  // redundant (recovery skips segment indexes <= last_segment, and the
-  // deltas' base-seq no longer matches the new image), so removing them is
-  // pure space reclamation — a crash anywhere in this loop is harmless.
-  if (!ROCKHOPPER_BUGGIFY("checkpoint.truncate.crash")) {
-    for (const auto& [index, path] : fresh) {
-      std::filesystem::remove(path, ec);
-    }
-    for (const std::string& path : stale) {
-      std::filesystem::remove(path, ec);
-    }
-    for (const auto& [index, path] : chain.valid) {
-      std::filesystem::remove(path, ec);
-    }
-    for (const std::string& path : chain.stale) {
-      std::filesystem::remove(path, ec);
-    }
-  }
-  ServiceMetrics::Get().checkpoints_total->Increment();
-  ServiceMetrics::Get().checkpoint_bytes->Observe(
-      static_cast<double>(bytes_written));
-  return report;
+  return split;
 }
 
-Result<CheckpointReport> WriteCheckpointDelta(const std::string& journal_path,
-                                              bool compress) {
-  const std::string checkpoint_path = CheckpointPath(journal_path);
-  std::error_code ec;
-  if (!std::filesystem::exists(checkpoint_path, ec)) {
-    // No full image yet: the first checkpoint is necessarily full.
-    return WriteCheckpoint(journal_path);
+/// Appends the valid lines of every fresh segment to `lines`. A torn
+/// segment tail is a record that was never acked (the sticky journal error
+/// rejected everything after it); dropping it loses nothing the service
+/// promised to keep. Returns the highest absorbed segment index.
+Result<uint64_t> AbsorbSegments(const SegmentSplit& split, uint64_t seq,
+                                std::vector<std::string>* lines,
+                                CheckpointReport* report) {
+  for (const auto& [index, path] : split.fresh) {
+    ROCKHOPPER_ASSIGN_OR_RETURN(segment, ReadJournalFile(path));
+    lines->insert(lines->end(), std::make_move_iterator(segment.lines.begin()),
+                  std::make_move_iterator(segment.lines.end()));
+    report->records_dropped += segment.records_dropped;
+    seq = index;
   }
-  ScopedSpan span(ServiceMetrics::Get().checkpoint_seconds);
-  ROCKHOPPER_ASSIGN_OR_RETURN(chain, DiscoverChain(journal_path));
+  report->segments_absorbed = split.fresh.size();
+  return seq;
+}
 
-  CheckpointReport report;
-  report.checkpoint_path = checkpoint_path;
-  report.last_segment = chain.chain_seq;
-
-  ROCKHOPPER_ASSIGN_OR_RETURN(segments,
-                              ObservationJournal::ListSegments(journal_path));
-  std::vector<std::pair<uint64_t, std::string>> fresh;
-  std::vector<std::string> stale;
-  for (const auto& [index, path] : segments) {
-    if (index > chain.chain_seq) {
-      fresh.emplace_back(index, path);
-    } else {
-      stale.push_back(path);
-    }
-  }
-
-  if (fresh.empty()) {
-    // Nothing new to absorb; just finish any interrupted truncation.
-    if (!ROCKHOPPER_BUGGIFY("checkpoint.truncate.crash")) {
-      for (const std::string& path : stale) {
-        std::filesystem::remove(path, ec);
-      }
-      for (const std::string& path : chain.stale) {
-        std::filesystem::remove(path, ec);
-      }
-    }
-    return report;
-  }
-
-  std::vector<std::string> lines;
-  uint64_t last_segment = chain.chain_seq;
-  for (const auto& [index, path] : fresh) {
-    ROCKHOPPER_ASSIGN_OR_RETURN(segment, ReadRecordFile(path, false));
-    lines.insert(lines.end(), std::make_move_iterator(segment.lines.begin()),
-                 std::make_move_iterator(segment.lines.end()));
-    report.records_dropped += segment.records_dropped;
-    last_segment = index;
-  }
-
+std::string JoinLines(const std::vector<std::string>& lines) {
   std::string body;
   for (const std::string& line : lines) {
     body += line;
     body += '\n';
   }
-  const char* encoding = "raw";
+  return body;
+}
+
+/// Publishes `header` + `body` at `path` atomically: written to a .tmp,
+/// then renamed. `crash` (an injected fault) tears the write halfway and
+/// never renames — the previous chain and segments stay intact, and
+/// recovery is oblivious to the .tmp. Returns the bytes written.
+Result<size_t> Publish(const std::string& path, const std::string& header,
+                       const std::string& body, bool crash) {
+  const std::string tmp_path = path + ".tmp";
+  std::FILE* out = std::fopen(tmp_path.c_str(), "wb");
+  if (out == nullptr) {
+    return Status::IOError("cannot open checkpoint tmp: " + tmp_path);
+  }
+  const bool header_ok =
+      std::fwrite(header.data(), 1, header.size(), out) == header.size();
+  if (crash) {
+    std::fwrite(body.data(), 1, body.size() / 2, out);
+    std::fflush(out);
+    std::fclose(out);
+    return Status::IOError("injected checkpoint crash mid-write: " + tmp_path);
+  }
+  if (!header_ok ||
+      std::fwrite(body.data(), 1, body.size(), out) != body.size()) {
+    std::fclose(out);
+    return Status::IOError("checkpoint write failed: " + tmp_path);
+  }
+  if (std::fflush(out) != 0 || std::fclose(out) != 0) {
+    return Status::IOError("checkpoint flush failed: " + tmp_path);
+  }
+  std::error_code ec;
+  std::filesystem::rename(tmp_path, path, ec);
+  if (ec) {
+    return Status::IOError("checkpoint publish failed: " + path + ": " +
+                           ec.message());
+  }
+  return header.size() + body.size();
+}
+
+/// Truncation: removes files a published compaction made redundant. Pure
+/// space reclamation — recovery skips every one of them — so a crash
+/// anywhere in here is harmless, and the next writer finishes the job.
+void RemoveRedundant(const std::vector<std::string>& paths) {
+  if (ROCKHOPPER_BUGGIFY("checkpoint.truncate.crash")) return;
+  std::error_code ec;
+  for (const std::string& path : paths) std::filesystem::remove(path, ec);
+}
+
+/// Full compaction: absorbs image + chain + fresh segments into one new
+/// image, collapsing the chain back to a lone full image.
+Result<CheckpointReport> WriteCheckpoint(const std::string& journal_path,
+                                         const ChainInfo& chain) {
+  ScopedSpan span(ServiceMetrics::Get().checkpoint_seconds);
+  CheckpointReport report;
+  report.checkpoint_path = CheckpointPath(journal_path);
+
+  std::vector<std::string> lines;
+  CheckpointHeader base;
+  Result<RecordFile> image = ReadCheckpointFile(report.checkpoint_path, &base);
+  if (image.ok()) {
+    lines = std::move(image->lines);
+    report.records_dropped += image->records_dropped;
+  } else if (image.status().code() != StatusCode::kNotFound) {
+    return image.status();
+  }
+  // The chain's records are part of the image being rewritten, and its
+  // readable coverage decides which segments are fresh.
+  ROCKHOPPER_ASSIGN_OR_RETURN(chained, AbsorbDeltaChain(chain));
+  report.records_dropped += chained.records.records_dropped;
+  report.deltas_absorbed = chained.deltas_used;
+  lines.insert(lines.end(),
+               std::make_move_iterator(chained.records.lines.begin()),
+               std::make_move_iterator(chained.records.lines.end()));
+  ROCKHOPPER_ASSIGN_OR_RETURN(split,
+                              SplitSegments(journal_path, chained.chain_seq));
+  ROCKHOPPER_ASSIGN_OR_RETURN(
+      last_segment, AbsorbSegments(split, chained.chain_seq, &lines, &report));
+
+  char header[96];
+  std::snprintf(header, sizeof(header), "%s %s %" PRIu64 " %zu\n",
+                kCheckpointMagic, kCheckpointVersion, last_segment,
+                lines.size());
+  ROCKHOPPER_ASSIGN_OR_RETURN(
+      bytes, Publish(report.checkpoint_path, header, JoinLines(lines),
+                     ROCKHOPPER_BUGGIFY("checkpoint.write.crash")));
+  report.last_segment = last_segment;
+  report.records = lines.size();
+  report.bytes_written = bytes;
+
+  // Absorbed segments and the collapsed chain are redundant now: recovery
+  // skips segment indexes <= last_segment, and the deltas' base-seq no
+  // longer matches the new image.
+  std::vector<std::string> redundant = std::move(split.stale);
+  for (const auto& [index, path] : split.fresh) redundant.push_back(path);
+  for (const auto& [index, path] : chain.links) redundant.push_back(path);
+  redundant.insert(redundant.end(), chain.stale.begin(), chain.stale.end());
+  RemoveRedundant(redundant);
+  ServiceMetrics::Get().checkpoints_total->Increment();
+  ServiceMetrics::Get().checkpoint_bytes->Observe(static_cast<double>(bytes));
+  return report;
+}
+
+/// Incremental compaction: absorbs the fresh segments into a new link
+/// stacked on the chain.
+Result<CheckpointReport> WriteCheckpointDelta(const std::string& journal_path,
+                                              const ChainInfo& chain,
+                                              bool compress) {
+  ScopedSpan span(ServiceMetrics::Get().checkpoint_seconds);
+  CheckpointReport report;
+  report.checkpoint_path = CheckpointPath(journal_path);
+
+  ROCKHOPPER_ASSIGN_OR_RETURN(split,
+                              SplitSegments(journal_path, chain.chain_seq));
+  std::vector<std::string> lines;
+  ROCKHOPPER_ASSIGN_OR_RETURN(
+      last_segment, AbsorbSegments(split, chain.chain_seq, &lines, &report));
+  std::string body = JoinLines(lines);
   if (compress) {
     ServiceMetrics& metrics = ServiceMetrics::Get();
     ScopedSpan compress_span(metrics.compress_seconds);
@@ -585,67 +545,40 @@ Result<CheckpointReport> WriteCheckpointDelta(const std::string& journal_path,
                      : static_cast<double>(envelope.size()) /
                            static_cast<double>(body.size()));
     body = std::move(envelope);
-    encoding = "lz";
   }
 
-  const uint64_t delta_index = chain.valid.size() + 1;
+  const uint64_t delta_index = chain.links.size() + 1;
   const std::string delta_path = CheckpointDeltaPath(journal_path, delta_index);
-  const std::string tmp_path = delta_path + ".tmp";
-  std::FILE* out = std::fopen(tmp_path.c_str(), "wb");
-  if (out == nullptr) {
-    return Status::IOError("cannot open delta tmp: " + tmp_path);
-  }
-  const int header_bytes = std::fprintf(
-      out, "%s %s %" PRIu64 " %" PRIu64 " %" PRIu64 " %zu %s\n", kDeltaMagic,
-      kDeltaVersion, delta_index, chain.base_seq, last_segment, lines.size(),
-      encoding);
-  if (ROCKHOPPER_BUGGIFY("checkpoint.delta.crash")) {
-    // Crash mid-write: a prefix of the body reaches the tmp file, which is
-    // never renamed — the chain, segments and recovery are oblivious to it.
-    std::fwrite(body.data(), 1, body.size() / 2, out);
-    std::fflush(out);
-    std::fclose(out);
-    return Status::IOError("injected delta-checkpoint crash mid-write: " +
-                           tmp_path);
-  }
-  if (header_bytes < 0 ||
-      std::fwrite(body.data(), 1, body.size(), out) != body.size()) {
-    std::fclose(out);
-    return Status::IOError("delta write failed: " + tmp_path);
-  }
-  if (std::fflush(out) != 0 || std::fclose(out) != 0) {
-    return Status::IOError("delta flush failed: " + tmp_path);
-  }
-  std::filesystem::rename(tmp_path, delta_path, ec);
-  if (ec) {
-    return Status::IOError("delta publish failed: " + delta_path + ": " +
-                           ec.message());
-  }
-
+  char header[160];
+  std::snprintf(header, sizeof(header),
+                "%s %s %" PRIu64 " %" PRIu64 " %" PRIu64 " %zu %s\n",
+                kDeltaMagic, kDeltaVersion, delta_index, chain.base_seq,
+                last_segment, lines.size(), compress ? "lz" : "raw");
+  ROCKHOPPER_ASSIGN_OR_RETURN(
+      bytes, Publish(delta_path, header, body,
+                     ROCKHOPPER_BUGGIFY("checkpoint.delta.crash")));
   report.delta_index = delta_index;
   report.last_segment = last_segment;
   report.records = lines.size();
-  report.segments_absorbed = fresh.size();
-  report.bytes_written = static_cast<size_t>(header_bytes) + body.size();
+  report.bytes_written = bytes;
 
-  if (!ROCKHOPPER_BUGGIFY("checkpoint.truncate.crash")) {
-    for (const auto& [index, path] : fresh) {
-      std::filesystem::remove(path, ec);
-    }
-    for (const std::string& path : stale) {
-      std::filesystem::remove(path, ec);
-    }
-    for (const std::string& path : chain.stale) {
-      std::filesystem::remove(path, ec);
-    }
+  // The rename replaced any stale leftover at the new link's index, so
+  // that path is live again and must survive the truncation.
+  std::vector<std::string> redundant = std::move(split.stale);
+  for (const auto& [index, path] : split.fresh) redundant.push_back(path);
+  for (const std::string& path : chain.stale) {
+    if (path != delta_path) redundant.push_back(path);
   }
+  RemoveRedundant(redundant);
   ServiceMetrics::Get().checkpoint_deltas_total->Increment();
-  ServiceMetrics::Get().checkpoint_bytes->Observe(
-      static_cast<double>(report.bytes_written));
+  ServiceMetrics::Get().checkpoint_bytes->Observe(static_cast<double>(bytes));
   return report;
 }
 
-Result<CheckpointReport> CheckpointLive(ObservationJournal* journal) {
+}  // namespace
+
+Result<CheckpointReport> CheckpointLive(ObservationJournal* journal,
+                                        const DeltaCheckpointPolicy& policy) {
   if (journal == nullptr || !journal->is_open()) {
     return Status::FailedPrecondition("journal is not open");
   }
@@ -656,31 +589,17 @@ Result<CheckpointReport> CheckpointLive(ObservationJournal* journal) {
   // delta) absorbed and deleted (see Rotate's doc).
   ROCKHOPPER_ASSIGN_OR_RETURN(chain, DiscoverChain(journal->path()));
   ROCKHOPPER_RETURN_IF_ERROR(journal->Rotate(chain.chain_seq + 1).status());
-  return WriteCheckpoint(journal->path());
-}
-
-Result<CheckpointReport> CheckpointLive(ObservationJournal* journal,
-                                        const DeltaCheckpointPolicy& policy) {
-  if (journal == nullptr || !journal->is_open()) {
-    return Status::FailedPrecondition("journal is not open");
-  }
-  ROCKHOPPER_ASSIGN_OR_RETURN(chain, DiscoverChain(journal->path()));
-  ROCKHOPPER_RETURN_IF_ERROR(journal->Rotate(chain.chain_seq + 1).status());
-  bool full = !chain.have_base;
-  if (!full && policy.max_chain > 0 && chain.valid.size() >= policy.max_chain) {
-    full = true;
-  }
+  bool full = !chain.have_base || chain.links.size() >= policy.max_chain;
   if (!full && policy.max_bytes_fraction > 0.0) {
     std::error_code ec;
     const auto base_bytes =
         std::filesystem::file_size(CheckpointPath(journal->path()), ec);
-    if (!ec && static_cast<double>(chain.valid_bytes) >=
-                   policy.max_bytes_fraction * static_cast<double>(base_bytes)) {
-      full = true;
-    }
+    full = !ec && static_cast<double>(chain.link_bytes) >=
+                      policy.max_bytes_fraction *
+                          static_cast<double>(base_bytes);
   }
-  return full ? WriteCheckpoint(journal->path())
-              : WriteCheckpointDelta(journal->path(), policy.compress);
+  return full ? WriteCheckpoint(journal->path(), chain)
+              : WriteCheckpointDelta(journal->path(), chain, policy.compress);
 }
 
 Result<JournalChain> RecoverJournalChain(const std::string& journal_path) {
@@ -702,10 +621,11 @@ Result<JournalChain> RecoverJournalChain(const std::string& journal_path) {
 
   const std::string checkpoint_path = CheckpointPath(journal_path);
   {
-    Result<RecordFile> read = ReadRecordFile(checkpoint_path, true);
+    CheckpointHeader header;
+    Result<RecordFile> read = ReadCheckpointFile(checkpoint_path, &header);
     if (read.ok()) {
       found_any = true;
-      chain.checkpoint_seq = read->last_segment;
+      chain.checkpoint_seq = header.last_segment;
       chain.checkpoint_records = read->lines.size();
       absorb_damage(*read, checkpoint_path);
       ROCKHOPPER_RETURN_IF_ERROR(ReplayLines(read->lines, &chain.store));
@@ -720,29 +640,20 @@ Result<JournalChain> RecoverJournalChain(const std::string& journal_path) {
   {
     ROCKHOPPER_ASSIGN_OR_RETURN(disk_chain, DiscoverChain(journal_path));
     ROCKHOPPER_ASSIGN_OR_RETURN(chained, AbsorbDeltaChain(disk_chain));
-    if (!disk_chain.valid.empty()) found_any = true;
+    if (!disk_chain.links.empty()) found_any = true;
     chain.checkpoint_seq = chained.chain_seq;
-    chain.checkpoint_records += chained.lines.size();
+    chain.checkpoint_records += chained.records.lines.size();
     chain.deltas_replayed = chained.deltas_used;
-    if (!chained.clean) {
-      chain.clean = false;
-      chain.records_dropped += chained.records_dropped;
-      chain.bytes_dropped += chained.bytes_dropped;
-      if (chain.tail_status.ok()) {
-        chain.tail_status = Status::DataLoss(
-            "dropped " + Describe(chained.records_dropped, "records") + " (" +
-            Describe(chained.bytes_dropped, "bytes") +
-            ") from delta chain at " + chained.first_damage);
-      }
-    }
-    ROCKHOPPER_RETURN_IF_ERROR(ReplayLines(chained.lines, &chain.store));
+    absorb_damage(chained.records, "delta chain at " + chained.first_damage);
+    ROCKHOPPER_RETURN_IF_ERROR(
+        ReplayLines(chained.records.lines, &chain.store));
   }
 
   ROCKHOPPER_ASSIGN_OR_RETURN(segments,
                               ObservationJournal::ListSegments(journal_path));
   for (const auto& [index, path] : segments) {
     if (index <= chain.checkpoint_seq) continue;  // already in the checkpoint
-    ROCKHOPPER_ASSIGN_OR_RETURN(segment, ReadRecordFile(path, false));
+    ROCKHOPPER_ASSIGN_OR_RETURN(segment, ReadJournalFile(path));
     found_any = true;
     ++chain.segments_replayed;
     chain.tail_records += segment.lines.size();
@@ -751,7 +662,7 @@ Result<JournalChain> RecoverJournalChain(const std::string& journal_path) {
   }
 
   {
-    Result<RecordFile> read = ReadRecordFile(journal_path, false);
+    Result<RecordFile> read = ReadJournalFile(journal_path);
     if (read.ok()) {
       found_any = true;
       chain.tail_records += read->lines.size();

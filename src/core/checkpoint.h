@@ -45,7 +45,10 @@ namespace rockhopper::core {
 /// The chain is valid when delta indexes run contiguously from 1, every
 /// delta's base-seq equals the full image's last-segment, and last-segments
 /// strictly increase; recovery replays the valid prefix and treats the
-/// remainder as damage. Deltas publish by the same tmp+rename protocol:
+/// remainder as damage. A published delta-<k> whose header does not parse,
+/// or names an index other than k, is damage too: the chain breaks there and
+/// recovery reports kDataLoss naming the file. Deltas publish by the same
+/// tmp+rename protocol:
 ///  - crash mid-delta-write leaves a .tmp; the chain and segments are
 ///    intact;
 ///  - crash between delta publish and segment removal leaves absorbed
@@ -54,8 +57,8 @@ namespace rockhopper::core {
 ///  - crash between full-compaction publish and delta removal leaves
 ///    deltas whose base-seq no longer matches the new image — stale,
 ///    skipped, then deleted by the next writer.
-/// A full compaction (WriteCheckpoint) always absorbs image + chain +
-/// segments, collapsing the chain back to a lone full image.
+/// A full compaction absorbs image + chain + segments, collapsing the chain
+/// back to a lone full image.
 
 /// Checkpoint file location for a journal at `journal_path`.
 std::string CheckpointPath(const std::string& journal_path);
@@ -93,40 +96,28 @@ struct CheckpointReport {
 /// When to collapse the delta chain back into one full image, and how
 /// delta bodies are encoded.
 struct DeltaCheckpointPolicy {
-  /// Full compaction once the chain would exceed this many deltas.
+  /// Full compaction once the chain holds this many deltas (0: every
+  /// checkpoint is a full compaction).
   size_t max_chain = 8;
   /// Full compaction once cumulative delta bytes exceed this fraction of
-  /// the full image's size.
+  /// the full image's size (0 disables the size trigger).
   double max_bytes_fraction = 0.5;
   /// LZ-envelope the delta record body (common/compress).
   bool compress = true;
 };
 
-/// Offline compaction: absorbs the existing checkpoint (if any) plus every
-/// completed segment of `journal_path` into a fresh checkpoint published by
-/// atomic rename, then removes the absorbed segments. Safe to run against a
-/// closed journal or concurrently with a live one (it never opens the live
-/// file). A no-op report (segments_absorbed == 0) is returned when there is
-/// nothing new to absorb and a checkpoint already exists.
-Result<CheckpointReport> WriteCheckpoint(const std::string& journal_path);
-
-/// Incremental compaction: absorbs segments above the current chain seq
-/// into a new delta stacked on the existing full image. Falls back to
-/// WriteCheckpoint when no full image exists yet. A no-op report
-/// (segments_absorbed == 0) is returned when there is nothing to absorb.
-Result<CheckpointReport> WriteCheckpointDelta(const std::string& journal_path,
-                                              bool compress);
-
-/// Live checkpoint: rotates `journal` (the group-commit sequence barrier —
-/// every acked record lands in a sealed segment) and then compacts. The
-/// service keeps appending throughout; only the rotation itself briefly
-/// blocks writers. This overload always produces a full image.
-Result<CheckpointReport> CheckpointLive(ObservationJournal* journal);
-
-/// Incremental live checkpoint: rotates, then publishes a delta — or a
-/// full compaction when `policy` says the chain is due for collapse.
-Result<CheckpointReport> CheckpointLive(ObservationJournal* journal,
-                                        const DeltaCheckpointPolicy& policy);
+/// The one checkpoint entry point. Rotates `journal` (the group-commit
+/// sequence barrier — every acked record lands in a sealed segment), then
+/// compacts the sealed segments: into a full image when none exists yet or
+/// when `policy` says the chain is due for collapse, otherwise into a new
+/// delta stacked on the chain. The published file appears by atomic
+/// rename, after which the absorbed segments (and a collapsed chain) are
+/// removed. The service keeps appending throughout; only the rotation
+/// itself briefly blocks writers. Safe to run on a journal reopened over a
+/// crashed compaction: leftovers of the crash are skipped and deleted.
+Result<CheckpointReport> CheckpointLive(
+    ObservationJournal* journal,
+    const DeltaCheckpointPolicy& policy = DeltaCheckpointPolicy());
 
 /// The result of replaying checkpoint + delta chain + segments + live tail.
 struct JournalChain {
@@ -151,11 +142,16 @@ struct JournalChain {
   Status tail_status = Status::OK();
 };
 
-/// Recovers the full observation history of `journal_path`: checkpoint
-/// records first, then segments above the checkpoint sequence in ascending
-/// order, then the live journal. Returns kNotFound only when none of the
-/// three sources exist; damaged tails inside any source are dropped and
-/// reported via `tail_status`, matching ObservationJournal::Recover.
+/// The one journal reader. Recovers the full observation history of
+/// `journal_path`: checkpoint records first, then segments above the
+/// checkpoint sequence in ascending order, then the live journal — a bare
+/// journal is the chain with no checkpoint and no segments. Returns
+/// kNotFound only when none of the three sources exist, and
+/// kInvalidArgument for a file with a foreign header. Damage inside any
+/// source never fails the call: each file keeps its longest valid record
+/// prefix (the writer is strictly sequential, so everything after the first
+/// bad record is untrustworthy), and what was dropped is counted and
+/// reported via `tail_status` (kDataLoss).
 Result<JournalChain> RecoverJournalChain(const std::string& journal_path);
 
 }  // namespace rockhopper::core

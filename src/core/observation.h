@@ -150,7 +150,7 @@ Status ExportObservations(const sparksim::ConfigSpace& space,
 struct ImportedObservations {
   ObservationStore store;
   /// Rows rejected for non-finite or non-positive runtime/data size — a
-  /// corrupt event file must not poison ReplayHistory after a restart.
+  /// corrupt event file must not poison the replay after a restart.
   size_t skipped_rows = 0;
 };
 

@@ -33,11 +33,11 @@ void SignatureShardMap::LockedConstState::Release() {
 }
 
 void SignatureShardMap::EnableTiering(TieringConfig config) {
-  tiering_ = std::make_unique<TieringConfig>(std::move(config));
-  if (tiering_->low_watermark <= 0.0 || tiering_->low_watermark > 1.0) {
-    tiering_->low_watermark = 0.9;
+  tiering_ = std::move(config);
+  if (tiering_.low_watermark <= 0.0 || tiering_.low_watermark > 1.0) {
+    tiering_.low_watermark = 0.9;
   }
-  budget_bytes_.store(tiering_->budget_bytes, std::memory_order_relaxed);
+  budget_bytes_.store(tiering_.budget_bytes, std::memory_order_relaxed);
 }
 
 void SignatureShardMap::SetBudgetBytes(size_t budget_bytes) {
@@ -55,12 +55,9 @@ void SignatureShardMap::InsertCold(uint64_t signature, ColdEntry entry) {
 SignatureShardMap::Entry* SignatureShardMap::FaultIn(Shard& shard,
                                                      uint64_t signature) {
   auto cold_it = shard.cold.find(signature);
-  if (cold_it == shard.cold.end() || tiering_ == nullptr ||
-      !tiering_->loader) {
-    return nullptr;
-  }
+  if (cold_it == shard.cold.end() || !tiering_.loader) return nullptr;
   ScopedSpan span(ServiceMetrics::Get().state_faultin_seconds);
-  Result<QueryState> loaded = tiering_->loader(signature, cold_it->second);
+  Result<QueryState> loaded = tiering_.loader(signature, cold_it->second);
   if (!loaded.ok()) {
     // Keep the tombstone: the next Find retries, and callers see the
     // signature as absent rather than silently fresh.
@@ -70,7 +67,7 @@ SignatureShardMap::Entry* SignatureShardMap::FaultIn(Shard& shard,
   }
   Entry entry;
   entry.state = std::move(*loaded);
-  entry.bytes = tiering_->sizer ? tiering_->sizer(entry.state) : 0;
+  entry.bytes = tiering_.sizer ? tiering_.sizer(entry.state) : 0;
   entry.ref = true;
   // An evicted signature was materialized from its persisted artifact, so
   // the artifact is current until the next mutable-guard release; a replay
@@ -97,10 +94,8 @@ SignatureShardMap::LockedState SignatureShardMap::Find(uint64_t signature) {
     entry->ref = true;
     entry->last_touch = tick_.load(std::memory_order_relaxed);
     locked.state = &entry->state;
-    if (tiering_ != nullptr) {
-      locked.owner_ = this;
-      locked.signature_ = signature;
-    }
+    locked.owner_ = this;
+    locked.signature_ = signature;
   }
   return locked;
 }
@@ -111,10 +106,8 @@ SignatureShardMap::LockedConstState SignatureShardMap::Find(
   // state a caller observes.
   LockedState locked = const_cast<SignatureShardMap*>(this)->Find(signature);
   LockedConstState const_locked{std::move(locked.lock), locked.state};
-  if (locked.owner_ != nullptr) {
-    const_locked.owner_ = locked.owner_;
-    locked.owner_ = nullptr;  // accounting is the const guard's job now
-  }
+  const_locked.owner_ = locked.owner_;
+  locked.owner_ = nullptr;  // accounting is the const guard's job now
   locked.state = nullptr;
   return const_locked;
 }
@@ -137,9 +130,7 @@ SignatureShardMap::LockedState SignatureShardMap::Emplace(uint64_t signature,
   if (entry == nullptr) {
     Entry fresh;
     fresh.state = std::move(state);
-    fresh.bytes =
-        tiering_ != nullptr && tiering_->sizer ? tiering_->sizer(fresh.state)
-                                               : 0;
+    fresh.bytes = tiering_.sizer ? tiering_.sizer(fresh.state) : 0;
     auto [new_it, inserted] = shard.states.emplace(signature, std::move(fresh));
     entry = &new_it->second;
     if (inserted) {
@@ -152,10 +143,8 @@ SignatureShardMap::LockedState SignatureShardMap::Emplace(uint64_t signature,
   entry->ref = true;
   entry->last_touch = tick_.load(std::memory_order_relaxed);
   locked.state = &entry->state;
-  if (tiering_ != nullptr) {
-    locked.owner_ = this;
-    locked.signature_ = signature;
-  }
+  locked.owner_ = this;
+  locked.signature_ = signature;
   return locked;
 }
 
@@ -237,12 +226,12 @@ TierStats SignatureShardMap::Stats() const {
 }
 
 void SignatureShardMap::Reaccount(uint64_t signature) {
-  if (tiering_ == nullptr || !tiering_->sizer) return;
+  if (!tiering_.sizer) return;
   // Caller holds the owning shard's lock.
   Shard& shard = shards_[ShardIndex(signature)];
   auto it = shard.states.find(signature);
   if (it == shard.states.end()) return;
-  const size_t now = tiering_->sizer(it->second.state);
+  const size_t now = tiering_.sizer(it->second.state);
   const size_t before = it->second.bytes;
   it->second.bytes = now;
   // A mutable guard is the only mutation path, so its release marks the
@@ -268,11 +257,11 @@ bool SignatureShardMap::EvictEntryLocked(
     Shard& shard, std::map<uint64_t, Entry>::iterator& it, bool via_sweep) {
   const uint64_t signature = it->first;
   if (it->second.dirty) {
-    if (!tiering_->saver) {
+    if (!tiering_.saver) {
       ++it;
       return false;
     }
-    const Status saved = tiering_->saver(signature, it->second.state);
+    const Status saved = tiering_.saver(signature, it->second.state);
     if (!saved.ok()) {
       ROCKHOPPER_LOG(kWarning)
           << "eviction save failed for signature " << signature
@@ -302,7 +291,7 @@ bool SignatureShardMap::EvictEntryLocked(
 }
 
 void SignatureShardMap::MaybeEvict() {
-  if (tiering_ == nullptr || !tiering_->saver) return;
+  if (!tiering_.saver) return;
   const size_t budget = budget_bytes_.load(std::memory_order_relaxed);
   if (budget == 0) return;
   if (resident_bytes_.load(std::memory_order_relaxed) <= budget) return;
@@ -311,7 +300,7 @@ void SignatureShardMap::MaybeEvict() {
   std::unique_lock<std::mutex> evict_lock(evict_mu_, std::try_to_lock);
   if (!evict_lock.owns_lock()) return;
   const size_t target = static_cast<size_t>(static_cast<double>(budget) *
-                                            tiering_->low_watermark);
+                                            tiering_.low_watermark);
   // The adversarial clock: ignore second-chance bits, so hot states evict
   // mid-conversation and the transparent fault-in path is exercised under
   // load instead of only on genuinely cold signatures.
@@ -342,8 +331,7 @@ void SignatureShardMap::MaybeEvict() {
 }
 
 size_t SignatureShardMap::SweepIdle() {
-  if (tiering_ == nullptr) return 0;
-  const uint64_t ttl = tiering_->idle_ttl_ticks;
+  const uint64_t ttl = tiering_.idle_ttl_ticks;
   // The adversarial sweeper: ignore the TTL entirely and treat every
   // resident state as idle, so the save/fault-in cycle is exercised on hot
   // signatures mid-conversation (mirrors state.evict.aggressive).

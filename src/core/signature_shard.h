@@ -51,7 +51,9 @@ struct ColdEntry {
   bool disabled = false;
 };
 
-/// Wiring of the two-tier resident/cold state layer (EnableTiering).
+/// Wiring of the two-tier resident/cold state layer (EnableTiering). The
+/// default config has no saver, loader or sizer: nothing is measured,
+/// spilled or faulted in.
 struct TieringConfig {
   /// Serializes and persists one state being evicted. A non-OK return keeps
   /// the state resident (eviction skips it this round).
@@ -96,9 +98,9 @@ struct TierStats {
 /// mutex, so concurrent tenants touching different signatures contend only
 /// when they hash to the same shard.
 ///
-/// With EnableTiering the map becomes a two-tier cache: each shard keeps a
-/// resident map (full QueryState + clock ref bit) and a cold directory
-/// (tiny ColdEntry). Find faults cold signatures back in transparently —
+/// The map is a two-tier cache: each shard keeps a resident map (full
+/// QueryState + clock ref bit) and a cold directory (tiny ColdEntry), wired
+/// by EnableTiering. Find faults cold signatures back in transparently —
 /// callers cannot tell an evicted signature from a resident one — and guard
 /// release re-accounts the state's footprint and turns the clock hand when
 /// the resident total exceeds the budget (second-chance eviction, one shard
@@ -120,10 +122,10 @@ class SignatureShardMap {
   }
 
   /// A shard-lock-owning view of one signature's state. `state` stays valid
-  /// and exclusively held while `lock` is held. When tiering is enabled the
-  /// guard's release re-computes the state's footprint (mutations through
-  /// the guard are the only way resident bytes change) and may trigger
-  /// eviction — after dropping the shard lock, so eviction never nests.
+  /// and exclusively held while `lock` is held. The guard's release
+  /// re-computes the state's footprint (mutations through the guard are the
+  /// only way resident bytes change) and may trigger eviction — after
+  /// dropping the shard lock, so eviction never nests.
   struct LockedState {
     std::unique_lock<std::mutex> lock;
     QueryState* state = nullptr;
@@ -152,7 +154,7 @@ class SignatureShardMap {
    private:
     friend class SignatureShardMap;
     void Release();
-    SignatureShardMap* owner_ = nullptr;  // set only when tiering is enabled
+    SignatureShardMap* owner_ = nullptr;
     uint64_t signature_ = 0;
   };
   struct LockedConstState {
@@ -187,15 +189,14 @@ class SignatureShardMap {
     SignatureShardMap* owner_ = nullptr;
   };
 
-  /// Switches the map into two-tier mode. Must be called before concurrent
-  /// use (startup wiring, not a runtime toggle). States already resident
-  /// are adopted into the accounting on their next guard release.
+  /// Replaces the tier wiring. Must be called before concurrent use
+  /// (startup wiring, not a runtime toggle). States already resident are
+  /// adopted into the accounting on their next guard release.
   void EnableTiering(TieringConfig config);
-  bool tiering_enabled() const { return tiering_ != nullptr; }
 
   /// Registers `signature` as cold without materializing it — the lazy
   /// recovery path's directory fill. No-op if the signature is already
-  /// resident or cold. Requires tiering.
+  /// resident or cold.
   void InsertCold(uint64_t signature, ColdEntry entry);
 
   /// Locks the owning shard and returns the signature's state, faulting it
@@ -238,14 +239,14 @@ class SignatureShardMap {
   TierStats Stats() const;
 
   /// Runs the clock hand until resident bytes drop to the low watermark
-  /// (no-op when under budget or tiering is off). Usually triggered by
+  /// (no-op when under budget or without a saver). Usually triggered by
   /// guard release; exposed for deterministic tests.
   void MaybeEvict();
 
   /// Replaces the resident-bytes budget at runtime (the admin verb) and
-  /// immediately drains if the new budget is exceeded. Requires tiering.
+  /// immediately drains if the new budget is exceeded.
   void SetBudgetBytes(size_t budget_bytes);
-  /// Current resident-bytes budget (0 when unlimited or tiering is off).
+  /// Current resident-bytes budget (0 when unlimited).
   size_t budget_bytes() const {
     return budget_bytes_.load(std::memory_order_relaxed);
   }
@@ -302,7 +303,7 @@ class SignatureShardMap {
   void SetGauges() const;
 
   std::array<Shard, kNumShards> shards_;
-  std::unique_ptr<TieringConfig> tiering_;
+  TieringConfig tiering_;
   std::atomic<size_t> budget_bytes_{0};
   std::atomic<uint64_t> tick_{0};
   std::atomic<size_t> resident_bytes_{0};

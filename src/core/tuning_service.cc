@@ -34,6 +34,10 @@ TuningService::TuningService(const sparksim::ConfigSpace& space,
     transfer_ = std::make_unique<TransferIndex>(
         EmbeddingLength(options_.embedding), options_.transfer);
   }
+  // Every service has a state tier. Without a cold store it evicts
+  // nothing; its budget (none by default) still bounds observation history,
+  // and lazy recovery works without a later AttachStateTier.
+  AttachStateTier(nullptr, options_.state_tier);
 }
 
 TuningService::~TuningService() { StopStateSweeper(); }
@@ -315,24 +319,19 @@ Status TuningService::Shutdown() {
   return sync.ok() ? close : sync;
 }
 
-void TuningService::AttachStateTier(ModelStore* store) {
-  AttachStateTier(store, options_.state_tier);
-}
-
 void TuningService::AttachStateTier(ModelStore* store, StateTierOptions tier) {
   model_store_ = store;
-  tier_options_ = std::move(tier);
-  options_.state_tier = tier_options_;
-  tier_attached_ = true;
-  plan_resolver_ = tier_options_.plan_resolver;
-  shared_budget_bytes_.store(tier_options_.shared_budget_bytes,
+  options_.state_tier = std::move(tier);
+  const StateTierOptions& options = options_.state_tier;
+  plan_resolver_ = options.plan_resolver;
+  shared_budget_bytes_.store(options.shared_budget_bytes,
                              std::memory_order_relaxed);
-  if (tier_options_.observation_window > 0) {
-    observations_.SetRetention(tier_options_.observation_window);
+  if (options.observation_window > 0) {
+    observations_.SetRetention(options.observation_window);
   }
   TieringConfig config;
-  config.budget_bytes = tier_options_.StateBudgetBytes();
-  config.idle_ttl_ticks = tier_options_.idle_ttl_ticks;
+  config.budget_bytes = options.StateBudgetBytes();
+  config.idle_ttl_ticks = options.idle_ttl_ticks;
   config.sizer = [](const QueryState& state) {
     return ApproxQueryStateBytes(state);
   };
@@ -356,7 +355,7 @@ void TuningService::AttachStateTier(ModelStore* store, StateTierOptions tier) {
 
 Result<std::string> TuningService::EncodeColdArtifact(const QueryState& state) {
   ROCKHOPPER_ASSIGN_OR_RETURN(artifact, EncodeQueryState(state));
-  if (!tier_options_.compress_artifacts) return artifact;
+  if (!options_.state_tier.compress) return artifact;
   std::string packed;
   {
     ScopedSpan span(metrics_->compress_seconds);
@@ -376,13 +375,12 @@ Status TuningService::DecodeColdArtifact(const std::string& artifact,
     ROCKHOPPER_ASSIGN_OR_RETURN(raw, common::DecodeCompressed(artifact));
     return DecodeQueryState(raw, state);
   }
-  // Pre-v2 artifacts were written uncompressed; the state codec's own CRC
-  // still guards them.
+  // Written with compress = false; the state codec's own CRC still guards
+  // them.
   return DecodeQueryState(artifact, state);
 }
 
 size_t TuningService::SweepStateTier() {
-  if (!tier_attached_) return 0;
   shards_.AdvanceIdleTick();
   const size_t evicted = shards_.SweepIdle();
   EnforceObservationBudget();
@@ -400,7 +398,7 @@ void TuningService::EnforceObservationBudget() {
   }
   const size_t shared = shared_budget_bytes_.load(std::memory_order_relaxed);
   if (shared == 0) return;
-  StateTierOptions split = tier_options_;
+  StateTierOptions split = options_.state_tier;
   split.shared_budget_bytes = shared;
   const size_t obs_budget = split.ObservationBudgetBytes();
   if (obs_budget == 0 || observations_.ApproxBytes() <= obs_budget) return;
@@ -410,8 +408,8 @@ void TuningService::EnforceObservationBudget() {
   constexpr size_t kMinWindow = 8;
   size_t window = observations_.retention();
   if (window == 0) {
-    window = tier_options_.observation_window > 0
-                 ? tier_options_.observation_window
+    window = options_.state_tier.observation_window > 0
+                 ? options_.state_tier.observation_window
                  : 256;
   } else if (window > kMinWindow) {
     window = std::max(kMinWindow, window / 2);
@@ -425,17 +423,14 @@ void TuningService::EnforceObservationBudget() {
 
 void TuningService::SetSharedBudgetBytes(size_t bytes) {
   shared_budget_bytes_.store(bytes, std::memory_order_relaxed);
-  // Without a cold store attached there is nowhere to spill evicted state;
-  // the new figure takes effect when (if) a tier is attached.
-  if (!tier_attached_) return;
-  StateTierOptions split = tier_options_;
+  StateTierOptions split = options_.state_tier;
   split.shared_budget_bytes = bytes;
   shards_.SetBudgetBytes(split.StateBudgetBytes());
   EnforceObservationBudget();
 }
 
 void TuningService::StartStateSweeper() {
-  if (!tier_attached_ || tier_options_.sweep_interval_ms == 0) return;
+  if (options_.state_tier.sweep_interval_ms == 0) return;
   std::lock_guard<std::mutex> lock(sweeper_mu_);
   if (sweeper_.joinable()) return;
   sweeper_stop_ = false;
@@ -443,7 +438,8 @@ void TuningService::StartStateSweeper() {
     std::unique_lock<std::mutex> lock(sweeper_mu_);
     while (!sweeper_stop_) {
       sweeper_cv_.wait_for(
-          lock, std::chrono::milliseconds(tier_options_.sweep_interval_ms));
+          lock,
+          std::chrono::milliseconds(options_.state_tier.sweep_interval_ms));
       if (sweeper_stop_) break;
       lock.unlock();
       SweepStateTier();
@@ -550,14 +546,10 @@ Result<CheckpointReport> TuningService::Checkpoint() {
     return Status::FailedPrecondition("no journal attached");
   }
   DeltaCheckpointPolicy policy;
-  policy.max_chain = tier_options_.max_delta_chain;
-  policy.max_bytes_fraction = tier_options_.max_delta_bytes_fraction;
-  policy.compress = tier_options_.compress_checkpoints;
-  Result<CheckpointReport> compacted = tier_attached_
-                                           ? CheckpointLive(journal_, policy)
-                                           : CheckpointLive(journal_);
-  ROCKHOPPER_RETURN_IF_ERROR(compacted.status());
-  CheckpointReport report = *std::move(compacted);
+  policy.max_chain = options_.state_tier.max_delta_chain;
+  policy.max_bytes_fraction = options_.state_tier.max_delta_bytes_fraction;
+  policy.compress = options_.state_tier.compress;
+  ROCKHOPPER_ASSIGN_OR_RETURN(report, CheckpointLive(journal_, policy));
   // Piggyback the transfer-index artifact on the checkpoint: recovery can
   // then load the graph instead of re-registering every signature one by
   // one. Best-effort — a failed Put only costs the next recovery a rebuild
@@ -610,43 +602,9 @@ size_t TuningService::ReplayHistory(const sparksim::QueryPlan& plan,
   return replayed;
 }
 
-Result<TuningService::RecoveryReport> TuningService::RecoverFromJournal(
-    const std::string& path, const std::vector<sparksim::QueryPlan>& plans) {
-  auto recovered = ObservationJournal::Recover(path);
-  if (!recovered.ok()) return recovered.status();
-
-  RecoveryReport report;
-  report.journal_clean = recovered->clean;
-  report.journal_status = recovered->tail_status;
-  report.observations_dropped = recovered->records_dropped;
-
-  std::map<uint64_t, const sparksim::QueryPlan*> by_signature;
-  for (const sparksim::QueryPlan& plan : plans) {
-    by_signature[plan.Signature()] = &plan;
-  }
-  for (uint64_t signature : recovered->store.Signatures()) {
-    auto it = by_signature.find(signature);
-    if (it == by_signature.end()) {
-      ++report.unknown_signatures;
-      continue;
-    }
-    const std::vector<Observation>& history =
-        recovered->store.History(signature);
-    const size_t replayed = ReplayHistory(*it->second, history);
-    report.observations_replayed += replayed;
-    report.observations_dropped += history.size() - replayed;
-    ++report.signatures_restored;
-  }
-  return report;
-}
-
 Result<TuningService::RecoveryReport> TuningService::RecoverFromCheckpoint(
     const std::string& path, const std::vector<sparksim::QueryPlan>& plans,
     RecoveryOptions recovery) {
-  if (recovery.lazy && !shards_.tiering_enabled()) {
-    return Status::FailedPrecondition(
-        "lazy recovery requires AttachStateTier first");
-  }
   ROCKHOPPER_ASSIGN_OR_RETURN(chain, RecoverJournalChain(path));
 
   RecoveryReport report;

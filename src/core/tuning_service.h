@@ -37,10 +37,10 @@ using PlanResolver =
     std::function<const sparksim::QueryPlan*(uint64_t signature)>;
 
 /// Everything the bounded-memory state plane is configured by, in one
-/// place — consumed by TuningService::AttachStateTier. Replaces the old
-/// positional EnableStateTiering(store, budget_bytes, resolver) signature,
-/// which had no room for the v2 knobs (budget split, idle TTL, compression,
-/// checkpoint cadence) without an ever-growing parameter list.
+/// place. Every service has a tier: the constructor attaches
+/// TuningServiceOptions::state_tier with no cold store, and
+/// TuningService::AttachStateTier replaces it. The defaults are the tier
+/// with no budget — nothing is evicted or truncated.
 struct StateTierOptions {
   /// One shared resident-bytes budget for the whole state plane — split
   /// between the hot QueryState tier and the ObservationStore. 0 =
@@ -62,11 +62,10 @@ struct StateTierOptions {
   /// Background sweeper period (StartStateSweeper). Deterministic callers
   /// skip the thread and drive SweepStateTier directly.
   uint64_t sweep_interval_ms = 1000;
-  /// LZ-compress evicted QueryState artifacts (common/compress). Readers
-  /// accept both encodings, so flipping this never strands old artifacts.
-  bool compress_artifacts = true;
-  /// LZ-compress incremental checkpoint delta bodies.
-  bool compress_checkpoints = true;
+  /// LZ-compress evicted QueryState artifacts and checkpoint delta bodies
+  /// (common/compress). Readers accept both encodings, so flipping this
+  /// never strands old files.
+  bool compress = true;
   /// Collapse the delta chain into a full image beyond this many deltas.
   size_t max_delta_chain = 8;
   /// ... or beyond this fraction of the full image's size in delta bytes.
@@ -110,8 +109,7 @@ struct TuningServiceOptions {
   /// safe-weighted neighbor observations seeding the fresh tuner.
   TransferOptions transfer;
   /// Bounded-memory state plane (budget split, idle TTL, compression,
-  /// checkpoint cadence). Holds configuration only — nothing activates
-  /// until AttachStateTier is called.
+  /// checkpoint cadence), attached at construction with no cold store.
   StateTierOptions state_tier;
 };
 
@@ -272,27 +270,26 @@ class TuningService {
   /// spelling it TuningService::PlanResolver.
   using PlanResolver = ::rockhopper::core::PlanResolver;
 
-  /// Switches the per-signature state into the two-tier resident/cold
-  /// layout, configured by `tier` (the unified service-state API; see
-  /// StateTierOptions). `store` (not owned; may be null when the shared
-  /// budget is 0) receives serialized — optionally LZ-compressed —
-  /// QueryState artifacts on eviction; fault-in decodes the latest
-  /// artifact, falling back to a deterministic replay of the signature's
-  /// journaled observations when the artifact is torn or missing. The
-  /// shared budget is split between resident QueryStates and the
-  /// observation store (per-signature retention truncation), so total
-  /// resident bytes stay bounded at any population.
+  /// Replaces the service's state tier: the one call that sets a cold
+  /// store and the tier options (see StateTierOptions). `store` (not owned;
+  /// may be null) receives serialized — optionally LZ-compressed —
+  /// QueryState artifacts on eviction; without one nothing is evicted, and
+  /// only the observation store's slice of the shared budget applies.
+  /// Fault-in decodes the latest artifact, falling back to a deterministic
+  /// replay of the signature's journaled observations when the artifact is
+  /// torn or missing. The shared budget is split between resident
+  /// QueryStates and the observation store (per-signature retention
+  /// truncation), so total resident bytes stay bounded at any population.
   /// Call once at startup, before traffic. Composes with the transfer
   /// tier: fault-in paths only register embeddings (never consult
   /// neighbors), so no shard lock is ever taken while another is held.
   void AttachStateTier(ModelStore* store, StateTierOptions tier);
-  /// Attaches with the options the service was constructed with
-  /// (options.state_tier).
-  void AttachStateTier(ModelStore* store);
 
-  /// The attached tier's configuration (options_.state_tier until
-  /// AttachStateTier overrides it).
-  const StateTierOptions& state_tier_options() const { return options_.state_tier; }
+  /// The tier's configuration: options.state_tier until AttachStateTier
+  /// replaces it.
+  const StateTierOptions& state_tier_options() const {
+    return options_.state_tier;
+  }
 
   /// One maintenance pass of the state plane: advances the idle clock,
   /// sweeps signatures idle longer than idle_ttl_ticks out to the cold
@@ -304,11 +301,13 @@ class TuningService {
 
   /// Starts the low-priority background sweeper thread: one SweepStateTier
   /// every sweep_interval_ms. Idempotent; stopped by Shutdown (and the
-  /// destructor). No-op when no tier is attached.
+  /// destructor). No-op when sweep_interval_ms is 0.
   void StartStateSweeper();
 
   /// Runtime budget adjustment (the wire Admin verb): re-splits the new
   /// shared budget across both tiers and drains any excess immediately.
+  /// Without a cold store only the observation store's slice binds: its
+  /// retention tightens, and no state is evicted.
   void SetSharedBudgetBytes(size_t bytes);
   size_t shared_budget_bytes() const {
     return shared_budget_bytes_.load(std::memory_order_relaxed);
@@ -318,22 +317,14 @@ class TuningService {
   /// endpoints, the state benchmark's budget gate).
   TierStats StateTierStats() const { return shards_.Stats(); }
 
-  /// Rotates the attached journal and compacts — the online checkpoint path
-  /// behind `rockhopper checkpoint` and serve's --checkpoint-interval. With
-  /// a state tier attached this is incremental: a delta proportional to the
-  /// churn since the last checkpoint, collapsed into a full image when the
-  /// chain exceeds the tier's policy (max_delta_chain /
-  /// max_delta_bytes_fraction). Without a tier it is always a full
-  /// compaction. FailedPrecondition without an attached journal.
+  /// Rotates the attached journal and compacts (CheckpointLive) — the
+  /// online checkpoint path behind serve's --checkpoint-interval. The
+  /// tier's delta policy applies: the first checkpoint writes the full
+  /// image, later ones a delta proportional to the churn since the last
+  /// checkpoint, collapsed into a full image when the chain exceeds
+  /// max_delta_chain / max_delta_bytes_fraction. FailedPrecondition without
+  /// an attached journal.
   Result<CheckpointReport> Checkpoint();
-
-  /// Warm-restarts the tuning state of `plan`'s signature by replaying the
-  /// stored observations through a fresh tuner and guardrail — how the
-  /// service resumes after a restart from the persisted event files.
-  /// Replaces any existing state. Rows that would not pass ingestion
-  /// sanitization are skipped; returns the number actually replayed.
-  size_t ReplayHistory(const sparksim::QueryPlan& plan,
-                       const ObservationWindow& history);
 
   struct RecoveryReport {
     size_t signatures_restored = 0;
@@ -346,25 +337,16 @@ class TuningService {
     /// False when the journal had a truncated or corrupt tail.
     bool journal_clean = true;
     /// OK for a clean journal, kDataLoss for a recovered-around corrupt or
-    /// truncated tail (see ObservationJournal::Recovered::tail_status).
+    /// truncated tail (see JournalChain::tail_status).
     Status journal_status = Status::OK();
-    /// Chain recovery only: the checkpoint's sequence number (highest
-    /// absorbed segment index; 0 when no checkpoint existed), the number of
-    /// records replayed from the tail (sealed segments past the checkpoint
-    /// plus the live journal), and how many sealed segments that tail
-    /// spanned.
+    /// The checkpoint's sequence number (highest absorbed segment index; 0
+    /// when no checkpoint existed), the number of records replayed from the
+    /// tail (sealed segments past the checkpoint plus the live journal), and
+    /// how many sealed segments that tail spanned.
     uint64_t checkpoint_seq = 0;
     size_t tail_records = 0;
     size_t segments_replayed = 0;
   };
-
-  /// Restores the service from a crash-safe journal: recovers the longest
-  /// valid record prefix, then replays every signature that matches one of
-  /// `plans` through ReplayHistory. The service's observation store and
-  /// per-signature tuners/guardrails end up as if the journaled events had
-  /// just been ingested.
-  Result<RecoveryReport> RecoverFromJournal(
-      const std::string& path, const std::vector<sparksim::QueryPlan>& plans);
 
   struct RecoveryOptions {
     /// Eager (false): every recovered signature's tuner is rebuilt at
@@ -372,18 +354,20 @@ class TuningService {
     /// recovery fills the observation store and the cold directory only;
     /// each signature's tuner materializes on first touch, so startup is
     /// bounded by journal size, not model count, and resident memory stays
-    /// under the tiering budget. Lazy requires AttachStateTier first.
+    /// under the tiering budget.
     bool lazy;
     // Explicit constructor (not a default member initializer): the default
     // argument of RecoverFromCheckpoint below needs this type complete.
     RecoveryOptions() : lazy(false) {}
   };
 
-  /// Restores the service from the checkpoint + journal-tail chain
-  /// (checkpoint records, then sealed segments past the checkpoint
-  /// sequence, then the live journal) — the bounded-memory startup path.
-  /// `plans` seeds the plan directory used to rebuild tuners; signatures
-  /// without a plan (and without a resolver from AttachStateTier) are
+  /// The one recovery call. Restores the service from the journal chain
+  /// RecoverJournalChain reads (checkpoint records, then sealed segments
+  /// past the checkpoint sequence, then the live journal; a bare journal is
+  /// a chain too). The service's observation store and per-signature
+  /// tuners/guardrails end up as if the journaled events had just been
+  /// ingested. `plans` seeds the plan directory used to rebuild tuners;
+  /// signatures without a plan (and without the tier's plan_resolver) are
   /// counted as unknown and skipped.
   Result<RecoveryReport> RecoverFromCheckpoint(
       const std::string& path, const std::vector<sparksim::QueryPlan>& plans,
@@ -479,6 +463,11 @@ class TuningService {
                                      const sparksim::QueryPlan& plan);
   /// Plan lookup across the recovery directory and the user resolver.
   const sparksim::QueryPlan* ResolvePlan(uint64_t signature) const;
+  /// Eager recovery of one signature: replays `history` through a fresh
+  /// tuner and guardrail, replacing any existing state. Rows that would not
+  /// pass ingestion sanitization are skipped; returns the number replayed.
+  size_t ReplayHistory(const sparksim::QueryPlan& plan,
+                       const ObservationWindow& history);
   /// Shared row filter for every replay path (eager, lazy, cold rebuild):
   /// mirrors the ingestion boundary's finite/positive/arity checks so all
   /// three produce identical observation stores.
@@ -501,18 +490,15 @@ class TuningService {
   sparksim::ConfigSpace app_space_;
   AppCache app_cache_;
   mutable std::mutex app_mu_;
-  /// Tiered-state wiring (AttachStateTier). The plan directory keeps a
-  /// copy of every plan handed to RecoverFromCheckpoint so cold signatures
-  /// can rebuild their tuner long after the caller's plan vector is gone.
+  /// State-tier wiring (AttachStateTier). The plan directory keeps a copy
+  /// of every plan handed to RecoverFromCheckpoint so cold signatures can
+  /// rebuild their tuner long after the caller's plan vector is gone.
   ModelStore* model_store_ = nullptr;
   PlanResolver plan_resolver_;
   std::map<uint64_t, sparksim::QueryPlan> plan_directory_;
   mutable std::mutex plan_mu_;
-  /// Bounded-memory state plane (AttachStateTier). The shared budget lives
-  /// in an atomic (not in tier_options_) so the Admin verb can re-split it
-  /// at runtime while the sweeper reads it.
-  bool tier_attached_ = false;
-  StateTierOptions tier_options_;
+  /// The shared budget lives in an atomic (not in options_.state_tier) so
+  /// the Admin verb can re-split it at runtime while the sweeper reads it.
   std::atomic<size_t> shared_budget_bytes_{0};
   /// Monotone publication cursor for the obs_truncated counter metric.
   std::atomic<uint64_t> obs_truncated_published_{0};

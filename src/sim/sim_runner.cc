@@ -602,8 +602,7 @@ SimulationReport RunSimulation(const SimulationOptions& options) {
     tier.observation_window = 0;
     tier.idle_ttl_ticks = report.sweep_armed ? 2 : 0;
     tier.sweep_interval_ms = 0;
-    tier.compress_artifacts = report.compress_armed;
-    tier.compress_checkpoints = report.compress_armed;
+    tier.compress = report.compress_armed;
     // Short chain: mid-phase checkpoints grow and collapse the delta chain
     // within a single run.
     tier.max_delta_chain = 3;

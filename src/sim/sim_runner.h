@@ -107,15 +107,18 @@ struct SimulationReport {
 ///            TuningService through simulated executions and a faulty
 ///            telemetry bus, journaling through sync or group-commit
 ///            appends (seed-chosen), with Buggify sections armed; on a
-///            seed-chosen subset of runs the tiered state layer is armed
-///            (cold-signature eviction under a resident-bytes budget) and
-///            journal checkpoints compact the log mid-phase;
+///            seed-chosen subset of runs the state tier gets a cold store
+///            and a resident-bytes budget (cold-signature eviction; the
+///            other runs keep the tier with no budget), and journal
+///            checkpoints compact the log mid-phase under the tier's delta
+///            policy;
 ///   crash    the "process" dies: the live journal is snapshotted at its
 ///            synced watermark (final record sometimes torn mid-line,
 ///            seed-chosen) together with the checkpoint file and sealed
 ///            segments — the full chain a restarted process would see;
 ///   recover  two fresh services restore the chain via
-///            RecoverFromCheckpoint — one lazy (seed-chosen) with the run's
+///            RecoverFromCheckpoint, the one recovery call — one lazy
+///            (seed-chosen) with the run's
 ///            eviction budget, one eager with a different budget — and
 ///            their state digests must match (recovery is deterministic
 ///            regardless of restore mode or which signatures are resident);

@@ -1,6 +1,7 @@
 #include "core/checkpoint.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
@@ -20,9 +21,13 @@ namespace {
 class CheckpointTest : public ::testing::Test {
  protected:
   CheckpointTest() {
+    // Keyed by process id and test name: ctest runs tests as concurrent
+    // processes, and a fixture address can repeat across them (it does
+    // under ASan).
     path_ = (std::filesystem::temp_directory_path() /
-             ("rockhopper_checkpoint_" +
-              std::to_string(reinterpret_cast<uintptr_t>(this)) + ".log"))
+             ("rockhopper_checkpoint_" + std::to_string(::getpid()) + "_" +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+              ".log"))
                 .string();
     Cleanup();
   }
@@ -82,6 +87,17 @@ class CheckpointTest : public ::testing::Test {
     return segments.ok() ? segments->size() : 0;
   }
 
+  std::string SegmentPath(uint64_t index) const {
+    return path_ + ".seg-" + std::to_string(index);
+  }
+
+  /// A policy whose chain is always due: every checkpoint is a full image.
+  static DeltaCheckpointPolicy FullImage() {
+    DeltaCheckpointPolicy policy;
+    policy.max_chain = 0;
+    return policy;
+  }
+
   std::string path_;
 };
 
@@ -90,7 +106,7 @@ TEST_F(CheckpointTest, AbsorbsSegmentsAndTruncates) {
   ASSERT_TRUE(journal.ok());
   Append(&*journal, 7, 5);
 
-  Result<CheckpointReport> report = CheckpointLive(&*journal);
+  Result<CheckpointReport> report = CheckpointLive(&*journal, FullImage());
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->records, 5u);
   EXPECT_EQ(report->segments_absorbed, 1u);
@@ -117,12 +133,12 @@ TEST_F(CheckpointTest, RepeatedCheckpointsAccumulateAndAdvanceSeq) {
   ASSERT_TRUE(journal.ok());
 
   Append(&*journal, 7, 4);
-  Result<CheckpointReport> first = CheckpointLive(&*journal);
+  Result<CheckpointReport> first = CheckpointLive(&*journal, FullImage());
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first->records, 4u);
 
   Append(&*journal, 7, 4, /*first_iteration=*/4);
-  Result<CheckpointReport> second = CheckpointLive(&*journal);
+  Result<CheckpointReport> second = CheckpointLive(&*journal, FullImage());
   ASSERT_TRUE(second.ok());
   // The second checkpoint holds the full absorbed history and a strictly
   // higher sequence number.
@@ -152,7 +168,7 @@ TEST_F(CheckpointTest, RotationIndexNeverReusedAfterTruncation) {
   for (int round = 0; round < 3; ++round) {
     Append(&*journal, 7, 3, /*first_iteration=*/round * 3);
     expected += 3;
-    Result<CheckpointReport> report = CheckpointLive(&*journal);
+    Result<CheckpointReport> report = CheckpointLive(&*journal, FullImage());
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_EQ(report->records, expected) << "round " << round;
   }
@@ -172,7 +188,7 @@ TEST_F(CheckpointTest, RotationIndexMonotonicAcrossReopen) {
     Result<ObservationJournal> journal = ObservationJournal::Open(path_);
     ASSERT_TRUE(journal.ok());
     Append(&*journal, 7, 3);
-    Result<CheckpointReport> report = CheckpointLive(&*journal);
+    Result<CheckpointReport> report = CheckpointLive(&*journal, FullImage());
     ASSERT_TRUE(report.ok());
     ASSERT_TRUE(journal->Close().ok());
   }
@@ -181,7 +197,7 @@ TEST_F(CheckpointTest, RotationIndexMonotonicAcrossReopen) {
     Result<ObservationJournal> journal = ObservationJournal::Open(path_);
     ASSERT_TRUE(journal.ok());
     Append(&*journal, 7, 3, /*first_iteration=*/3);
-    Result<CheckpointReport> report = CheckpointLive(&*journal);
+    Result<CheckpointReport> report = CheckpointLive(&*journal, FullImage());
     ASSERT_TRUE(report.ok());
     EXPECT_EQ(report->records, 6u);
     ASSERT_TRUE(journal->Close().ok());
@@ -195,7 +211,7 @@ TEST_F(CheckpointTest, TornCheckpointTailRecoversPrefix) {
   Result<ObservationJournal> journal = ObservationJournal::Open(path_);
   ASSERT_TRUE(journal.ok());
   Append(&*journal, 7, 5);
-  ASSERT_TRUE(CheckpointLive(&*journal).ok());
+  ASSERT_TRUE(CheckpointLive(&*journal, FullImage()).ok());
   ASSERT_TRUE(journal->Close().ok());
 
   // Tear the checkpoint mid-record: the last line loses its tail bytes.
@@ -217,7 +233,7 @@ TEST_F(CheckpointTest, CheckpointMissingDeclaredRecordsIsDataLoss) {
   Result<ObservationJournal> journal = ObservationJournal::Open(path_);
   ASSERT_TRUE(journal.ok());
   Append(&*journal, 7, 5);
-  ASSERT_TRUE(CheckpointLive(&*journal).ok());
+  ASSERT_TRUE(CheckpointLive(&*journal, FullImage()).ok());
   ASSERT_TRUE(journal->Close().ok());
 
   // Drop a whole trailing line (clean line boundary): every remaining line
@@ -239,18 +255,16 @@ TEST_F(CheckpointTest, CrashMidTruncateNeverDoubleCounts) {
   ASSERT_TRUE(journal.ok());
   Append(&*journal, 7, 5);
 
-  // Seal the records into a segment, then checkpoint, then simulate a crash
-  // between the checkpoint rename and the segment unlink by restoring the
-  // absorbed segment's bytes.
-  Result<ObservationJournal::RotateResult> rotated = journal->Rotate();
-  ASSERT_TRUE(rotated.ok());
-  std::string segment_bytes = ReadFile(rotated->segment_path);
-  Result<CheckpointReport> report = WriteCheckpoint(path_);
+  // Checkpoint (the rotation seals the live file into the absorbed
+  // segment), then simulate a crash between the checkpoint rename and the
+  // segment unlink by restoring the absorbed segment's bytes.
+  const std::string segment_bytes = ReadFile(path_);
+  Result<CheckpointReport> report = CheckpointLive(&*journal, FullImage());
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->records, 5u);
-  ASSERT_FALSE(std::filesystem::exists(rotated->segment_path));
-  WriteFile(rotated->segment_path, segment_bytes);
-  ASSERT_TRUE(journal->Close().ok());
+  const std::string segment_path = SegmentPath(report->last_segment);
+  ASSERT_FALSE(std::filesystem::exists(segment_path));
+  WriteFile(segment_path, segment_bytes);
 
   // Recovery must skip the leftover: its index <= checkpoint_seq.
   Result<JournalChain> chain = RecoverJournalChain(path_);
@@ -259,10 +273,11 @@ TEST_F(CheckpointTest, CrashMidTruncateNeverDoubleCounts) {
   EXPECT_EQ(chain->store.Count(7), 5u) << "absorbed segment replayed twice";
 
   // A later compaction finishes the truncation without re-absorbing.
-  Result<CheckpointReport> again = WriteCheckpoint(path_);
+  Result<CheckpointReport> again = CheckpointLive(&*journal, FullImage());
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->records, 5u);
-  EXPECT_FALSE(std::filesystem::exists(rotated->segment_path));
+  EXPECT_FALSE(std::filesystem::exists(segment_path));
+  ASSERT_TRUE(journal->Close().ok());
 }
 
 TEST_F(CheckpointTest, StaleTmpCheckpointIgnored) {
@@ -273,7 +288,7 @@ TEST_F(CheckpointTest, StaleTmpCheckpointIgnored) {
   // A crash mid-compaction leaves a garbage .tmp; it must never be read.
   WriteFile(CheckpointPath(path_) + ".tmp", "garbage from a dead compactor\n");
 
-  Result<CheckpointReport> report = CheckpointLive(&*journal);
+  Result<CheckpointReport> report = CheckpointLive(&*journal, FullImage());
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->records, 3u);
   ASSERT_TRUE(journal->Close().ok());
@@ -299,7 +314,7 @@ TEST_F(CheckpointTest, CheckpointWithGroupCommitActive) {
 
   // Rotation is the sequence barrier: every acked record must land in the
   // checkpoint even though the writer thread is still running.
-  Result<CheckpointReport> report = CheckpointLive(&*journal);
+  Result<CheckpointReport> report = CheckpointLive(&*journal, FullImage());
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->records, 20u);
 
@@ -342,7 +357,7 @@ TEST_F(CheckpointTest, RepeatedRotationNeverDropsConcurrentAppends) {
   // Checkpoint continuously while the appenders run: each call rotates the
   // live file, maximizing swaps racing the lock-free is-open fast path.
   for (int round = 0; round < 12; ++round) {
-    Result<CheckpointReport> report = CheckpointLive(&*journal);
+    Result<CheckpointReport> report = CheckpointLive(&*journal, FullImage());
     ASSERT_TRUE(report.ok()) << report.status().ToString();
   }
   for (std::thread& worker : workers) worker.join();
@@ -522,29 +537,30 @@ TEST_F(DeltaCheckpointTest, CrashBetweenDeltaPublishAndTruncateNeverDoubles) {
   Append(&*journal, 7, 3);
   ASSERT_TRUE(CheckpointLive(&*journal, Policy()).ok());
 
-  // Seal churn into a segment, delta it, then simulate a crash between the
-  // delta rename and the segment unlink by restoring the segment's bytes.
+  // Seal churn into a segment and delta it, then simulate a crash between
+  // the delta rename and the segment unlink by restoring the segment's
+  // bytes (the live file's, which the rotation sealed).
   Append(&*journal, 9, 4);
-  Result<ObservationJournal::RotateResult> rotated = journal->Rotate();
-  ASSERT_TRUE(rotated.ok());
-  const std::string segment_bytes = ReadFile(rotated->segment_path);
-  Result<CheckpointReport> delta = WriteCheckpointDelta(path_, true);
+  const std::string segment_bytes = ReadFile(path_);
+  Result<CheckpointReport> delta = CheckpointLive(&*journal, Policy());
   ASSERT_TRUE(delta.ok());
   EXPECT_EQ(delta->delta_index, 1u);
-  ASSERT_FALSE(std::filesystem::exists(rotated->segment_path));
-  WriteFile(rotated->segment_path, segment_bytes);
-  ASSERT_TRUE(journal->Close().ok());
+  const std::string segment_path = SegmentPath(delta->last_segment);
+  ASSERT_FALSE(std::filesystem::exists(segment_path));
+  WriteFile(segment_path, segment_bytes);
 
   // Recovery skips the leftover: its index <= the chain seq.
   Result<JournalChain> chain = RecoverJournalChain(path_);
   ASSERT_TRUE(chain.ok());
   EXPECT_EQ(chain->store.Count(9), 4u) << "absorbed segment replayed twice";
 
-  // The next delta writer finishes the truncation without re-absorbing.
-  Result<CheckpointReport> again = WriteCheckpointDelta(path_, true);
+  // The next delta writer finishes the truncation without re-absorbing
+  // (it absorbs only the empty live file its rotation sealed).
+  Result<CheckpointReport> again = CheckpointLive(&*journal, Policy());
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again->segments_absorbed, 0u);
-  EXPECT_FALSE(std::filesystem::exists(rotated->segment_path));
+  EXPECT_EQ(again->records, 0u);
+  EXPECT_FALSE(std::filesystem::exists(segment_path));
+  ASSERT_TRUE(journal->Close().ok());
 }
 
 TEST_F(DeltaCheckpointTest, CrashBetweenCompactionAndDeltaRemovalSkipsStale) {
@@ -559,11 +575,10 @@ TEST_F(DeltaCheckpointTest, CrashBetweenCompactionAndDeltaRemovalSkipsStale) {
   // Full compaction collapses the chain; simulate a crash before the delta
   // unlink by restoring the collapsed delta's bytes.
   Append(&*journal, 11, 1);
-  Result<CheckpointReport> full = CheckpointLive(&*journal);
+  Result<CheckpointReport> full = CheckpointLive(&*journal, Policy(0));
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(full->deltas_absorbed, 1u);
   WriteFile(CheckpointDeltaPath(path_, 1), delta_bytes);
-  ASSERT_TRUE(journal->Close().ok());
 
   // The restored delta's base-seq references the pre-compaction image, so
   // recovery must treat it as stale — replaying it would double-count 9.
@@ -576,9 +591,82 @@ TEST_F(DeltaCheckpointTest, CrashBetweenCompactionAndDeltaRemovalSkipsStale) {
   EXPECT_EQ(chain->store.Count(11), 1u);
 
   // The next writer deletes the stale file.
-  Result<CheckpointReport> next = WriteCheckpointDelta(path_, true);
+  Result<CheckpointReport> next = CheckpointLive(&*journal, Policy(0));
   ASSERT_TRUE(next.ok());
   EXPECT_EQ(DeltaCount(), 0u);
+  ASSERT_TRUE(journal->Close().ok());
+}
+
+/// Regression: a stale leftover at the index the next delta takes used to
+/// be deleted as stale right after that delta's rename replaced it — the
+/// new delta and the segments it absorbed were gone.
+TEST_F(DeltaCheckpointTest, DeltaPublishedOverStaleLeftoverSurvives) {
+  Result<ObservationJournal> journal = ObservationJournal::Open(path_);
+  ASSERT_TRUE(journal.ok());
+  Append(&*journal, 7, 3);
+  ASSERT_TRUE(CheckpointLive(&*journal, Policy()).ok());
+  Append(&*journal, 9, 2);
+  ASSERT_TRUE(CheckpointLive(&*journal, Policy()).ok());  // delta 1
+  const std::string delta_bytes = ReadFile(CheckpointDeltaPath(path_, 1));
+  Append(&*journal, 11, 1);
+  ASSERT_TRUE(CheckpointLive(&*journal, Policy(0)).ok());  // collapses
+  WriteFile(CheckpointDeltaPath(path_, 1), delta_bytes);   // stale leftover
+
+  Append(&*journal, 13, 4);
+  Result<CheckpointReport> delta = CheckpointLive(&*journal, Policy());
+  ASSERT_TRUE(delta.ok());
+  EXPECT_EQ(delta->delta_index, 1u);
+  EXPECT_TRUE(std::filesystem::exists(CheckpointDeltaPath(path_, 1)));
+  ASSERT_TRUE(journal->Close().ok());
+
+  Result<JournalChain> chain = RecoverJournalChain(path_);
+  ASSERT_TRUE(chain.ok());
+  EXPECT_TRUE(chain->clean);
+  EXPECT_EQ(chain->deltas_replayed, 1u);
+  EXPECT_EQ(chain->store.Count(13), 4u) << "published delta deleted as stale";
+  EXPECT_EQ(chain->store.Count(9), 2u);
+  EXPECT_EQ(chain->store.Count(11), 1u);
+  EXPECT_EQ(chain->store.Count(7), 3u);
+}
+
+/// A published delta whose header is damaged must not read as a stale
+/// leftover (which recovery skips silently): the chain breaks there and
+/// recovery reports the loss against the file. The next writer stacks past
+/// it rather than overwriting the evidence.
+TEST_F(DeltaCheckpointTest, DamagedDeltaHeaderIsDataLossNotStale) {
+  Result<ObservationJournal> journal = ObservationJournal::Open(path_);
+  ASSERT_TRUE(journal.ok());
+  Append(&*journal, 7, 3);
+  ASSERT_TRUE(CheckpointLive(&*journal, Policy()).ok());
+  Append(&*journal, 9, 4);
+  ASSERT_TRUE(CheckpointLive(&*journal, Policy()).ok());  // delta 1
+
+  const std::string delta_path = CheckpointDeltaPath(path_, 1);
+  const std::string bytes = ReadFile(delta_path);
+  for (const std::string& damaged :
+       {"rockhopper-ckpt-delte" + bytes.substr(21),   // magic
+        "rockhopper-ckpt-delta v1 2" + bytes.substr(26)}) {  // index != k
+    WriteFile(delta_path, damaged);
+    Result<JournalChain> chain = RecoverJournalChain(path_);
+    ASSERT_TRUE(chain.ok());
+    EXPECT_FALSE(chain->clean);
+    EXPECT_EQ(chain->tail_status.code(), StatusCode::kDataLoss);
+    EXPECT_NE(chain->tail_status.message().find(delta_path), std::string::npos)
+        << chain->tail_status.ToString();
+    EXPECT_EQ(chain->deltas_replayed, 0u);
+    EXPECT_EQ(chain->store.Count(7), 3u);
+    EXPECT_EQ(chain->store.Count(9), 0u);
+  }
+
+  Append(&*journal, 11, 1);
+  Result<CheckpointReport> next = CheckpointLive(&*journal, Policy());
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next->delta_index, 2u);
+  EXPECT_TRUE(std::filesystem::exists(delta_path));
+  ASSERT_TRUE(journal->Close().ok());
+  Result<JournalChain> chain = RecoverJournalChain(path_);
+  ASSERT_TRUE(chain.ok());
+  EXPECT_EQ(chain->tail_status.code(), StatusCode::kDataLoss);
 }
 
 TEST_F(DeltaCheckpointTest, TornCompressedDeltaIsDataLossNotGarbage) {

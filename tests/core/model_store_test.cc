@@ -1,6 +1,7 @@
 #include "core/model_store.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -15,9 +16,12 @@ namespace {
 class ModelStoreTest : public ::testing::Test {
  protected:
   ModelStoreTest() {
+    // Keyed by process id and test name: ctest runs tests as concurrent
+    // processes, and a fixture address can repeat across them (it does
+    // under ASan).
     root_ = (std::filesystem::temp_directory_path() /
-             ("rockhopper_store_" +
-              std::to_string(reinterpret_cast<uintptr_t>(this))))
+             ("rockhopper_store_" + std::to_string(::getpid()) + "_" +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name()))
                 .string();
   }
   ~ModelStoreTest() override {

@@ -124,7 +124,7 @@ TEST(ObservationPersistenceTest, ImportRejectsWrongSchema) {
 
 TEST(ObservationPersistenceTest, ImportSkipsCorruptRowsWithCount) {
   // A corrupt event file (NaN, negative, zero, and infinite runtimes/sizes)
-  // must not poison ReplayHistory: bad rows are skipped and counted, good
+  // must not poison a replay: bad rows are skipped and counted, good
   // rows survive.
   const sparksim::ConfigSpace space = sparksim::QueryLevelSpace();
   std::ostringstream csv;

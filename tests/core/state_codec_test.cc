@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -335,12 +336,26 @@ TEST_F(StateCodecTest, TornArtifactFallsBackToDeterministicReplay) {
   ASSERT_EQ(stats.resident_signatures, 0u);
   ASSERT_GT(CorruptStoredArtifacts(), 0u);
 
-  // Twin rebuilt by replaying the identical history through fresh tuners —
-  // what the fallback path must reproduce bit-identically.
-  TuningService twin(space_, nullptr, FastOptions(), 13);
-  for (const auto& [signature, plan] : plans) {
-    twin.ReplayHistory(plan, tiered.observations().History(signature));
+  // Twin rebuilt by recovering the identical history through fresh tuners
+  // — what the fallback path must reproduce bit-identically.
+  const std::string journal_path = store_dir_ + ".twin.journal";
+  std::vector<sparksim::QueryPlan> twin_plans;
+  {
+    Result<ObservationJournal> journal =
+        ObservationJournal::Open(journal_path);
+    ASSERT_TRUE(journal.ok());
+    for (const auto& [signature, plan] : plans) {
+      twin_plans.push_back(plan);
+      for (const Observation& obs :
+           tiered.observations().History(signature)) {
+        ASSERT_TRUE(journal->Append(signature, obs).ok());
+      }
+    }
+    ASSERT_TRUE(journal->Close().ok());
   }
+  TuningService twin(space_, nullptr, FastOptions(), 13);
+  ASSERT_TRUE(twin.RecoverFromCheckpoint(journal_path, twin_plans).ok());
+  std::remove(journal_path.c_str());
 
   for (const auto& [signature, plan] : plans) {
     const sparksim::ConfigVector a = tiered.OnQueryStart(plan, 1e9);

@@ -1,6 +1,7 @@
 #include "core/transfer.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
@@ -88,9 +89,12 @@ TEST(TransferIndexTest, ConcurrentRegisterAndSearchIsSafe) {
 class TransferServiceTest : public ::testing::Test {
  protected:
   TransferServiceTest() : space_(sparksim::QueryLevelSpace()) {
+    // Keyed by process id and test name: ctest runs tests as concurrent
+    // processes, and a fixture address can repeat across them (it does
+    // under ASan).
     dir_ = (std::filesystem::temp_directory_path() /
-            ("rockhopper_transfer_" +
-             std::to_string(reinterpret_cast<uintptr_t>(this))))
+            ("rockhopper_transfer_" + std::to_string(::getpid()) + "_" +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name()))
                .string();
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
@@ -213,7 +217,8 @@ TEST_F(TransferServiceTest, RecoveryPathsNeverConsultTransfer) {
   ASSERT_TRUE(live.Shutdown().ok());
 
   TuningService armed(space_, nullptr, TransferOn(), 24);
-  auto armed_report = armed.RecoverFromJournal(journal_path, {plan_a, plan_b});
+  auto armed_report =
+      armed.RecoverFromCheckpoint(journal_path, {plan_a, plan_b});
   ASSERT_TRUE(armed_report.ok());
   EXPECT_EQ(armed_report->signatures_restored, 2u);
   // Replay registered both embeddings even though it never consulted them.
@@ -222,7 +227,7 @@ TEST_F(TransferServiceTest, RecoveryPathsNeverConsultTransfer) {
   TuningServiceOptions off = TransferOn();
   off.transfer.enabled = false;
   TuningService plain(space_, nullptr, off, 24);
-  ASSERT_TRUE(plain.RecoverFromJournal(journal_path, {plan_a, plan_b}).ok());
+  ASSERT_TRUE(plain.RecoverFromCheckpoint(journal_path, {plan_a, plan_b}).ok());
 
   EXPECT_EQ(armed.OnQueryStart(plan_a, 1.0), plain.OnQueryStart(plan_a, 1.0));
   EXPECT_EQ(armed.OnQueryStart(plan_b, 1.0), plain.OnQueryStart(plan_b, 1.0));

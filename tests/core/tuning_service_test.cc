@@ -1,11 +1,14 @@
 #include "core/tuning_service.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 
+#include "core/checkpoint.h"
 #include "core/journal.h"
 #include "sparksim/simulator.h"
 #include "sparksim/workloads.h"
@@ -24,7 +27,51 @@ class TuningServiceTest : public ::testing::Test {
     return options;
   }
 
+  /// A journal path unique to this process and test; the destructor
+  /// removes its whole chain (segments, checkpoint, deltas).
+  std::string JournalPath(const std::string& suffix = ".log") {
+    journals_.push_back(
+        (std::filesystem::temp_directory_path() /
+         ("rockhopper_svc_" + std::to_string(::getpid()) + "_" +
+          ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+          suffix))
+            .string());
+    RemoveChain(journals_.back());
+    return journals_.back();
+  }
+  ~TuningServiceTest() override {
+    for (const std::string& path : journals_) RemoveChain(path);
+  }
+
+  static void RemoveChain(const std::string& path) {
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
+    std::filesystem::remove(CheckpointPath(path), ec);
+    if (auto deltas = ListCheckpointDeltas(path); deltas.ok()) {
+      for (const auto& [k, delta] : *deltas) std::filesystem::remove(delta, ec);
+    }
+    if (auto segments = ObservationJournal::ListSegments(path);
+        segments.ok()) {
+      for (const auto& [k, segment] : *segments) {
+        std::filesystem::remove(segment, ec);
+      }
+    }
+  }
+
+  /// Writes `rows` of `signature` to a fresh journal at `path` — how a twin
+  /// is handed a history to recover.
+  static void WriteJournal(const std::string& path, uint64_t signature,
+                           const ObservationWindow& rows) {
+    Result<ObservationJournal> journal = ObservationJournal::Open(path);
+    ASSERT_TRUE(journal.ok());
+    for (const Observation& row : rows) {
+      ASSERT_TRUE(journal->Append(signature, row).ok());
+    }
+    ASSERT_TRUE(journal->Close().ok());
+  }
+
   sparksim::ConfigSpace space_;
+  std::vector<std::string> journals_;
 };
 
 TEST_F(TuningServiceTest, FirstStartReturnsValidConfig) {
@@ -132,7 +179,7 @@ TEST_F(TuningServiceTest, PrecomputeAppConfigPopulatesCache) {
   EXPECT_GE(cached[0], sparksim::AppLevelSpace().Defaults()[0]);
 }
 
-TEST_F(TuningServiceTest, ReplayHistoryRestoresIterationCount) {
+TEST_F(TuningServiceTest, RecoveredHistoryRestoresIterationCount) {
   // First service: tune for a while, persist the event log.
   sparksim::SparkSimulator::Options sim_options;
   sim_options.noise = sparksim::NoiseParams::Low();
@@ -145,16 +192,19 @@ TEST_F(TuningServiceTest, ReplayHistoryRestoresIterationCount) {
     first.OnQueryEnd(
         plan, QueryEndEvent::FromRun(c, r.input_bytes, r.runtime_seconds));
   }
-  // Second service: replay from the stored history and keep tuning.
+  // Second service: recover the stored history and keep tuning.
+  const std::string path = JournalPath();
+  WriteJournal(path, plan.Signature(),
+               first.observations().History(plan.Signature()));
   TuningService second(space_, nullptr, FastOptions(), 11);
-  second.ReplayHistory(plan, first.observations().History(plan.Signature()));
+  ASSERT_TRUE(second.RecoverFromCheckpoint(path, {plan}).ok());
   EXPECT_EQ(second.IterationCount(plan.Signature()), 20u);
   EXPECT_TRUE(second.IsTuningEnabled(plan.Signature()));
   const sparksim::ConfigVector next = second.OnQueryStart(plan, 1.0);
   EXPECT_TRUE(space_.Validate(next).ok());
 }
 
-TEST_F(TuningServiceTest, ReplayHistoryReappliesGuardrail) {
+TEST_F(TuningServiceTest, RecoveredHistoryReappliesGuardrail) {
   TuningServiceOptions options = FastOptions();
   options.guardrail.min_iterations = 8;
   options.guardrail.max_strikes = 2;
@@ -169,7 +219,9 @@ TEST_F(TuningServiceTest, ReplayHistoryReappliesGuardrail) {
     o.iteration = i;
     regressing.push_back(o);
   }
-  service.ReplayHistory(plan, regressing);
+  const std::string path = JournalPath();
+  WriteJournal(path, plan.Signature(), regressing);
+  ASSERT_TRUE(service.RecoverFromCheckpoint(path, {plan}).ok());
   EXPECT_FALSE(service.IsTuningEnabled(plan.Signature()));
   EXPECT_EQ(service.OnQueryStart(plan, 1.0), space_.Defaults());
 }
@@ -409,10 +461,7 @@ TEST_F(TuningServiceTest, ExplainQueryReportsTelemetryCounters) {
 }
 
 TEST_F(TuningServiceTest, JournalRecordsAcceptedObservationsOnly) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rockhopper_svc_journal.log")
-          .string();
-  std::remove(path.c_str());
+  const std::string path = JournalPath();
   {
     Result<ObservationJournal> journal = ObservationJournal::Open(path);
     ASSERT_TRUE(journal.ok());
@@ -426,18 +475,13 @@ TEST_F(TuningServiceTest, JournalRecordsAcceptedObservationsOnly) {
     service.OnQueryEnd(plan, Event(c, 31.0));
     EXPECT_EQ(service.journal_errors(), 0u);
   }
-  Result<ObservationJournal::Recovered> recovered =
-      ObservationJournal::Recover(path);
+  Result<JournalChain> recovered = RecoverJournalChain(path);
   ASSERT_TRUE(recovered.ok());
-  EXPECT_EQ(recovered->records_recovered, 2u);  // the NaN never made it in
-  std::remove(path.c_str());
+  EXPECT_EQ(recovered->tail_records, 2u);  // the NaN never made it in
 }
 
-TEST_F(TuningServiceTest, RecoverFromJournalRestoresState) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rockhopper_svc_recover.log")
-          .string();
-  std::remove(path.c_str());
+TEST_F(TuningServiceTest, RecoverFromCheckpointRestoresBareJournal) {
+  const std::string path = JournalPath();
   const sparksim::QueryPlan plan_a = sparksim::TpchPlan(9);
   const sparksim::QueryPlan plan_b = sparksim::TpchPlan(10);
   {
@@ -456,7 +500,7 @@ TEST_F(TuningServiceTest, RecoverFromJournalRestoresState) {
   }
   TuningService restarted(space_, nullptr, FastOptions(), 29);
   Result<TuningService::RecoveryReport> report =
-      restarted.RecoverFromJournal(path, {plan_a, plan_b});
+      restarted.RecoverFromCheckpoint(path, {plan_a, plan_b});
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->journal_clean);
   EXPECT_EQ(report->signatures_restored, 2u);
@@ -466,14 +510,10 @@ TEST_F(TuningServiceTest, RecoverFromJournalRestoresState) {
   EXPECT_EQ(restarted.IterationCount(plan_a.Signature()), 12u);
   EXPECT_EQ(restarted.IterationCount(plan_b.Signature()), 4u);
   EXPECT_TRUE(space_.Validate(restarted.OnQueryStart(plan_a, 1.0)).ok());
-  std::remove(path.c_str());
 }
 
-TEST_F(TuningServiceTest, RecoverFromJournalCountsUnknownSignatures) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rockhopper_svc_unknown.log")
-          .string();
-  std::remove(path.c_str());
+TEST_F(TuningServiceTest, RecoverFromCheckpointCountsUnknownSignatures) {
+  const std::string path = JournalPath();
   const sparksim::QueryPlan plan = sparksim::TpchPlan(11);
   {
     Result<ObservationJournal> journal = ObservationJournal::Open(path);
@@ -486,11 +526,179 @@ TEST_F(TuningServiceTest, RecoverFromJournalCountsUnknownSignatures) {
   TuningService restarted(space_, nullptr, FastOptions(), 31);
   // Recover with a plan set that does not contain the journaled signature.
   Result<TuningService::RecoveryReport> report =
-      restarted.RecoverFromJournal(path, {sparksim::TpchPlan(12)});
+      restarted.RecoverFromCheckpoint(path, {sparksim::TpchPlan(12)});
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->signatures_restored, 0u);
   EXPECT_EQ(report->unknown_signatures, 1u);
-  std::remove(path.c_str());
+}
+
+// --- the state tier every service has --------------------------------------
+
+/// One start/end per plan per round; plan `regressing` (if any) slows down
+/// every round so the guardrail eventually disables it.
+void Drive(TuningService* service,
+           const std::vector<sparksim::QueryPlan>& plans, int rounds,
+           int first_round = 0,
+           const sparksim::QueryPlan* regressing = nullptr) {
+  for (int round = first_round; round < first_round + rounds; ++round) {
+    for (const sparksim::QueryPlan& plan : plans) {
+      const sparksim::ConfigVector c = service->OnQueryStart(plan, 1.0);
+      const double runtime =
+          &plan == regressing ? 10.0 + 5.0 * round : 40.0 - 0.5 * round;
+      service->OnQueryEnd(plan, Event(c, runtime));
+    }
+  }
+}
+
+TEST_F(TuningServiceTest, DefaultServiceRecoversLazily) {
+  const std::string path = JournalPath();
+  const std::vector<sparksim::QueryPlan> plans = {sparksim::TpchPlan(3),
+                                                  sparksim::TpchPlan(4)};
+  {
+    Result<ObservationJournal> journal = ObservationJournal::Open(path);
+    ASSERT_TRUE(journal.ok());
+    TuningService live(space_, nullptr, FastOptions(), 40);
+    live.AttachJournal(&*journal);
+    Drive(&live, plans, 12);
+  }
+  // No AttachStateTier: lazy recovery leaves replay tombstones in the tier
+  // every service is constructed with.
+  TuningService lazy(space_, nullptr, FastOptions(), 41);
+  TuningService::RecoveryOptions options;
+  options.lazy = true;
+  Result<TuningService::RecoveryReport> report =
+      lazy.RecoverFromCheckpoint(path, plans, options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->signatures_restored, 2u);
+  EXPECT_EQ(report->observations_replayed, 24u);
+  EXPECT_EQ(lazy.StateTierStats().cold_signatures, 2u);
+  EXPECT_EQ(lazy.StateTierStats().resident_signatures, 0u);
+
+  TuningService eager(space_, nullptr, FastOptions(), 41);
+  ASSERT_TRUE(eager.RecoverFromCheckpoint(path, plans).ok());
+  for (const sparksim::QueryPlan& plan : plans) {
+    EXPECT_EQ(lazy.OnQueryStart(plan, 1.0), eager.OnQueryStart(plan, 1.0));
+  }
+  EXPECT_EQ(lazy.StateTierStats().faultins, 2u);
+  EXPECT_EQ(lazy.StateTierStats().cold_signatures, 0u);
+}
+
+TEST_F(TuningServiceTest, DefaultServiceCheckpointsFullImageThenDelta) {
+  const std::string path = JournalPath();
+  const std::string bare = JournalPath(".bare.log");
+  TuningServiceOptions options = FastOptions();
+  options.guardrail.min_iterations = 8;
+  options.guardrail.max_strikes = 2;
+  const std::vector<sparksim::QueryPlan> plans = {sparksim::TpchPlan(5),
+                                                  sparksim::TpchPlan(6)};
+  const auto read = [](const std::string& p) {
+    std::ifstream in(p, std::ios::binary);
+    return std::string{std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>()};
+  };
+  {
+    Result<ObservationJournal> journal = ObservationJournal::Open(path);
+    ASSERT_TRUE(journal.ok());
+    TuningService live(space_, nullptr, options, 42);
+    live.AttachJournal(&*journal);
+    // The bare journal collects the same records uncompacted: the live
+    // file's bytes before each checkpoint seals it.
+    Drive(&live, plans, 10, 0, &plans[1]);
+    std::string records = read(path);
+    Result<CheckpointReport> first = live.Checkpoint();
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    EXPECT_EQ(first->delta_index, 0u);
+    EXPECT_EQ(first->records, 20u);
+
+    Drive(&live, plans, 10, 10, &plans[1]);
+    const std::string tail = read(path);
+    records += tail.substr(tail.find('\n') + 1);  // without its header
+    Result<CheckpointReport> second = live.Checkpoint();
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    EXPECT_EQ(second->delta_index, 1u);
+    EXPECT_EQ(second->records, 20u);
+    EXPECT_TRUE(std::filesystem::exists(CheckpointDeltaPath(path, 1)));
+    ASSERT_TRUE(live.Shutdown().ok());
+    std::ofstream(bare, std::ios::binary) << records;
+  }
+
+  TuningService from_chain(space_, nullptr, options, 43);
+  TuningService from_bare(space_, nullptr, options, 43);
+  Result<TuningService::RecoveryReport> chain =
+      from_chain.RecoverFromCheckpoint(path, plans);
+  Result<TuningService::RecoveryReport> flat =
+      from_bare.RecoverFromCheckpoint(bare, plans);
+  ASSERT_TRUE(chain.ok() && flat.ok());
+  EXPECT_TRUE(chain->journal_clean);
+  EXPECT_EQ(chain->observations_replayed, 40u);
+  EXPECT_EQ(flat->observations_replayed, 40u);
+  EXPECT_GT(chain->checkpoint_seq, 0u);
+  // The regressing plan was disabled, so the enabled flags are compared on
+  // both outcomes.
+  ASSERT_FALSE(from_bare.IsTuningEnabled(plans[1].Signature()));
+  for (const sparksim::QueryPlan& plan : plans) {
+    EXPECT_EQ(from_chain.IterationCount(plan.Signature()),
+              from_bare.IterationCount(plan.Signature()));
+    EXPECT_EQ(from_chain.IsTuningEnabled(plan.Signature()),
+              from_bare.IsTuningEnabled(plan.Signature()));
+    EXPECT_EQ(from_chain.OnQueryStart(plan, 1.0),
+              from_bare.OnQueryStart(plan, 1.0));
+  }
+}
+
+TEST_F(TuningServiceTest, RecoverFromCheckpointReadsRotatedJournal) {
+  const std::string path = JournalPath();
+  const std::vector<sparksim::QueryPlan> plans = {sparksim::TpchPlan(7),
+                                                  sparksim::TpchPlan(8)};
+  {
+    Result<ObservationJournal> journal = ObservationJournal::Open(path);
+    ASSERT_TRUE(journal.ok());
+    TuningService live(space_, nullptr, FastOptions(), 44);
+    live.AttachJournal(&*journal);
+    Drive(&live, plans, 5);
+    ASSERT_TRUE(journal->Rotate().ok());  // sealed segment, no checkpoint
+    Drive(&live, plans, 4, 5);
+    ASSERT_TRUE(live.Shutdown().ok());
+  }
+  TuningService restarted(space_, nullptr, FastOptions(), 45);
+  Result<TuningService::RecoveryReport> report =
+      restarted.RecoverFromCheckpoint(path, plans);
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->journal_clean);
+  EXPECT_EQ(report->checkpoint_seq, 0u);
+  EXPECT_EQ(report->segments_replayed, 1u);
+  EXPECT_EQ(report->tail_records, 18u);
+  EXPECT_EQ(report->observations_replayed, 18u);
+  for (const sparksim::QueryPlan& plan : plans) {
+    EXPECT_EQ(restarted.IterationCount(plan.Signature()), 9u);
+  }
+}
+
+TEST_F(TuningServiceTest, SharedBudgetWithoutStoreBoundsObservationHistory) {
+  TuningService service(space_, nullptr, FastOptions(), 46);
+  const std::vector<sparksim::QueryPlan> plans = {
+      sparksim::TpchPlan(1), sparksim::TpchPlan(2), sparksim::TpchPlan(3)};
+  Drive(&service, plans, 40);
+  const size_t bytes = service.observations().ApproxBytes();
+  ASSERT_GT(bytes, 0u);
+
+  // The observation slice (40% by default) of a budget 10x the history
+  // holds it: nothing tightens.
+  service.SetSharedBudgetBytes(bytes * 10);
+  EXPECT_EQ(service.observations().retention(), 0u);
+
+  // A budget the size of the history leaves its observation slice
+  // exceeded: retention tightens at once, and every sweep halves it.
+  service.SetSharedBudgetBytes(bytes);
+  EXPECT_GT(service.observations().retention(), 0u);
+  for (int i = 0; i < 4; ++i) service.SweepStateTier();
+  EXPECT_LT(service.observations().ApproxBytes(), bytes);
+  EXPECT_GT(service.observations().TruncatedTotal(), 0u);
+
+  // Without a cold store no state is evicted.
+  const TierStats stats = service.StateTierStats();
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.resident_signatures, plans.size());
 }
 
 }  // namespace

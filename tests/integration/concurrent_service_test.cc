@@ -11,6 +11,7 @@
 // state must be IDENTICAL whether the suite ran on 1 thread or 8.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -133,9 +134,12 @@ void ExpectSameObservations(const std::vector<Observation>& a,
 class ConcurrentServiceTest : public ::testing::Test {
  protected:
   ConcurrentServiceTest() {
+    // Keyed by process id and test name: ctest runs tests as concurrent
+    // processes, and a fixture address can repeat across them (it does
+    // under ASan).
     base_ = (std::filesystem::temp_directory_path() /
-             ("rockhopper_concurrent_" +
-              std::to_string(reinterpret_cast<uintptr_t>(this))))
+             ("rockhopper_concurrent_" + std::to_string(::getpid()) + "_" +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name()))
                 .string();
   }
   ~ConcurrentServiceTest() override {
@@ -198,10 +202,10 @@ TEST_F(ConcurrentServiceTest, JournalRecoveryMatchesSingleThreadedRun) {
   }
 
   TuningService from_one(space, nullptr, {}, kSeed);
-  auto report_one = from_one.RecoverFromJournal(base_ + ".j1", plans);
+  auto report_one = from_one.RecoverFromCheckpoint(base_ + ".j1", plans);
   ASSERT_TRUE(report_one.ok());
   TuningService from_four(space, nullptr, {}, kSeed);
-  auto report_four = from_four.RecoverFromJournal(base_ + ".j4", plans);
+  auto report_four = from_four.RecoverFromCheckpoint(base_ + ".j4", plans);
   ASSERT_TRUE(report_four.ok());
 
   // Group commit ended with a clean drain in both runs, and every accepted

@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "core/flighting.h"
 #include "core/model_store.h"
@@ -23,9 +24,12 @@ namespace sparksim = rockhopper::sparksim;
 class DeploymentTest : public ::testing::Test {
  protected:
   DeploymentTest() {
+    // Keyed by process id and test name: ctest runs tests as concurrent
+    // processes, and a fixture address can repeat across them (it does
+    // under ASan).
     root_ = (std::filesystem::temp_directory_path() /
-             ("rockhopper_deploy_" +
-              std::to_string(reinterpret_cast<uintptr_t>(this))))
+             ("rockhopper_deploy_" + std::to_string(::getpid()) + "_" +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name()))
                 .string();
   }
   ~DeploymentTest() override {
@@ -102,8 +106,20 @@ TEST_F(DeploymentTest, FullLifecycle) {
   auto reloaded = ImportObservations(space, events_path);
   ASSERT_TRUE(reloaded.ok());
   EXPECT_EQ(reloaded->skipped_rows, 0u);
+  // The restarted service recovers the imported rows through a journal,
+  // the one restore path.
+  const std::string journal_path = root_ + "/events.journal";
+  {
+    auto journal = ObservationJournal::Open(journal_path);
+    ASSERT_TRUE(journal.ok());
+    for (const Observation& obs :
+         reloaded->store.History(query.Signature())) {
+      ASSERT_TRUE(journal->Append(query.Signature(), obs).ok());
+    }
+    ASSERT_TRUE(journal->Close().ok());
+  }
   TuningService restarted(space, &client_model, service_options, 6);
-  restarted.ReplayHistory(query, reloaded->store.History(query.Signature()));
+  ASSERT_TRUE(restarted.RecoverFromCheckpoint(journal_path, {query}).ok());
   EXPECT_EQ(restarted.IterationCount(query.Signature()), 25u);
   const sparksim::ConfigVector next =
       restarted.OnQueryStart(query, query.LeafInputBytes(1.0));

@@ -11,6 +11,7 @@
 // eviction timing.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -36,9 +37,12 @@ constexpr uint64_t kSeed = 77;
 class StateTieringConcurrentTest : public ::testing::Test {
  protected:
   StateTieringConcurrentTest() {
+    // Keyed by process id and test name: ctest runs tests as concurrent
+    // processes, and a fixture address can repeat across them (it does
+    // under ASan).
     const std::string stem =
-        "rockhopper_tiering_conc_" +
-        std::to_string(reinterpret_cast<uintptr_t>(this));
+        "rockhopper_tiering_conc_" + std::to_string(::getpid()) + "_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
     journal_path_ =
         (std::filesystem::temp_directory_path() / (stem + ".journal"))
             .string();
@@ -191,7 +195,7 @@ TEST_F(StateTieringConcurrentTest, BackgroundSweeperRacesEightThreadIngest) {
   tier.shared_budget_bytes = 0;  // no budget pressure: sweeper-only eviction
   tier.idle_ttl_ticks = 1;       // everything untouched for one tick is idle
   tier.sweep_interval_ms = 1;    // as hot a race as the scheduler allows
-  tier.compress_artifacts = true;
+  tier.compress = true;
   tier.plan_resolver = [&by_signature](uint64_t signature) {
     auto it = by_signature.find(signature);
     return it == by_signature.end() ? nullptr : it->second;

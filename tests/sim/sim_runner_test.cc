@@ -1,6 +1,7 @@
 #include "sim/sim_runner.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -16,6 +17,22 @@
 namespace rockhopper::sim {
 namespace {
 
+// Keyed by process id: ctest runs these tests as concurrent processes, and
+// a shared scratch directory lets one run clobber another's journals.
+// Removed when the test process exits.
+const std::string& ScratchDir() {
+  static const struct Scratch {
+    std::string path = (std::filesystem::temp_directory_path() /
+                        ("rockhopper-sim-test-" + std::to_string(::getpid())))
+                           .string();
+    ~Scratch() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  } scratch;
+  return scratch.path;
+}
+
 // Small-but-complete runs: every phase (serve, crash, recover, serve again)
 // still happens, just with fewer events so the suite stays fast.
 SimulationOptions SmallRun(uint64_t seed) {
@@ -23,9 +40,7 @@ SimulationOptions SmallRun(uint64_t seed) {
   options.seed = seed;
   options.tenants = 2;
   options.events_per_tenant = 10;
-  options.scratch_dir =
-      (std::filesystem::temp_directory_path() / "rockhopper-sim-test")
-          .string();
+  options.scratch_dir = ScratchDir();
   return options;
 }
 
@@ -68,9 +83,7 @@ TEST(SimRunnerTest, ChaosOffStillPasses) {
 
 TEST(SimRunnerTest, RecordedTraceReplaysDeterministically) {
   SimulationOptions options = SmallRun(11);
-  options.trace_path =
-      (std::filesystem::temp_directory_path() / "rockhopper-sim-test.trace")
-          .string();
+  options.trace_path = options.scratch_dir + "/run.trace";
   const SimulationReport report = RunSimulation(options);
   EXPECT_TRUE(report.passed()) << report.Summary();
 

@@ -1,6 +1,7 @@
 #include "sim/trace.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -19,9 +20,13 @@ namespace {
 class TraceTest : public ::testing::Test {
  protected:
   TraceTest() {
+    // Keyed by process id and test name: ctest runs tests as concurrent
+    // processes, and a fixture address can repeat across them (it does
+    // under ASan).
     path_ = (std::filesystem::temp_directory_path() /
-             ("rockhopper_trace_" +
-              std::to_string(reinterpret_cast<uintptr_t>(this)) + ".trace"))
+             ("rockhopper_trace_" + std::to_string(::getpid()) + "_" +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+              ".trace"))
                 .string();
   }
   ~TraceTest() override { std::remove(path_.c_str()); }

@@ -42,7 +42,8 @@
 //
 //   rockhopper checkpoint --journal=FILE
 //       compact the journal offline: seal the live file, absorb the sealed
-//       segments into the checkpoint, and truncate the absorbed prefix;
+//       segments into the checkpoint chain (a full image first, then
+//       deltas under the default policy), and truncate the absorbed prefix;
 //
 //   rockhopper serve --suite=tpcds --threads=8 --iters=20 [--chaos]
 //       drive one shared tuning service from concurrent tenant threads
@@ -388,8 +389,8 @@ ChaosOutcome RunChaosSeed(const Args& args, uint64_t seed,
   // holds when the twin replays exactly this run's history.
   uint64_t baseline_records = 0;
   if (journaled) {
-    if (auto prior = ObservationJournal::Recover(journal_path); prior.ok()) {
-      baseline_records = prior->records_recovered;
+    if (auto prior = RecoverJournalChain(journal_path); prior.ok()) {
+      baseline_records = prior->checkpoint_records + prior->tail_records;
     }
     auto opened = ObservationJournal::Open(journal_path);
     if (!opened.ok()) {
@@ -499,7 +500,7 @@ ChaosOutcome RunChaosSeed(const Args& args, uint64_t seed,
                 journal_path.c_str(),
                 static_cast<unsigned long long>(out.journal_errors));
   }
-  auto recovered = ObservationJournal::Recover(journal_path);
+  auto recovered = RecoverJournalChain(journal_path);
   if (!recovered.ok()) {
     out.violations.push_back("journal recovery failed: " +
                              recovered.status().ToString());
@@ -509,17 +510,18 @@ ChaosOutcome RunChaosSeed(const Args& args, uint64_t seed,
     out.violations.push_back("journal tail unclean after clean shutdown: " +
                              recovered->tail_status.ToString());
   }
-  if (recovered->records_recovered - baseline_records + out.journal_errors !=
-      out.accepted) {
+  const uint64_t records =
+      recovered->checkpoint_records + recovered->tail_records;
+  if (records - baseline_records + out.journal_errors != out.accepted) {
     out.violations.push_back(
         "journal accounting broken: recovered " +
-        std::to_string(recovered->records_recovered - baseline_records) +
-        " + errors " + std::to_string(out.journal_errors) +
-        " != accepted " + std::to_string(out.accepted));
+        std::to_string(records - baseline_records) + " + errors " +
+        std::to_string(out.journal_errors) + " != accepted " +
+        std::to_string(out.accepted));
   }
   if (baseline_records > 0) return out;
   TuningService twin(space, nullptr, service_options, seed);
-  if (auto report = twin.RecoverFromJournal(journal_path, plans);
+  if (auto report = twin.RecoverFromCheckpoint(journal_path, plans);
       !report.ok()) {
     out.violations.push_back("service recovery failed: " +
                              report.status().ToString());
@@ -585,27 +587,49 @@ int RunChaos(const Args& args) {
   return 0;
 }
 
-// Builds the tiered-state configuration from the shared CLI flags:
-// --memory-budget is the one process-wide budget, split between resident
-// query state and observation history by --state-budget-fraction; --idle-ttl
-// plus --sweep-interval-ms arm the background sweeper; --compress=false
-// disables cold-artifact and checkpoint compression. The plan resolver is
-// supplied per-command (each owns its plan index).
-StateTierOptions StateTierFromArgs(const Args& args, uint64_t memory_budget,
-                                   PlanResolver resolver) {
+// The state tier the shared CLI flags describe, and what it points into:
+// the plan index its resolver reads and the cold store evictions spill to.
+// Must outlive the service it is attached to.
+struct CliStateTier {
+  std::map<uint64_t, const sparksim::QueryPlan*> plan_index;
+  std::optional<ModelStore> store;
+};
+
+// Attaches the tier every state-holding verb (recover, serve, serve
+// --listen) configures the same way: --memory-budget is the one
+// process-wide budget, split between resident query state and observation
+// history by --state-budget-fraction; --idle-ttl plus --sweep-interval-ms
+// drive idle eviction; --compress=false stores cold artifacts and
+// checkpoint deltas raw; --lazy-recovery=true restores signatures as cold
+// pointers that fault in on first touch. A cold store under --state-dir is
+// opened only when something can be evicted (a budget or an idle TTL).
+void AttachStateTierFromArgs(const Args& args,
+                             const std::vector<sparksim::QueryPlan>& plans,
+                             CliStateTier* cli_tier, TuningService* service) {
+  for (const sparksim::QueryPlan& plan : plans) {
+    cli_tier->plan_index[plan.Signature()] = &plan;
+  }
   StateTierOptions tier;
-  tier.shared_budget_bytes = memory_budget;
+  tier.shared_budget_bytes =
+      std::strtoull(args.Get("memory-budget", "0").c_str(), nullptr, 10);
   tier.state_budget_fraction = args.GetDouble(
       "state-budget-fraction", StateTierOptions().state_budget_fraction);
   tier.observation_window =
       static_cast<size_t>(args.GetInt("obs-window", 0));
   tier.idle_ttl_ticks = static_cast<uint64_t>(args.GetInt("idle-ttl", 0));
   tier.sweep_interval_ms = args.GetInt("sweep-interval-ms", 1000);
-  tier.compress_artifacts = args.Get("compress", "true") != "false";
-  tier.compress_checkpoints = tier.compress_artifacts;
+  tier.compress = args.Get("compress", "true") != "false";
   tier.lazy_recovery = args.Get("lazy-recovery", "") == "true";
-  tier.plan_resolver = std::move(resolver);
-  return tier;
+  tier.plan_resolver = [index = &cli_tier->plan_index](
+                           uint64_t signature) -> const sparksim::QueryPlan* {
+    auto it = index->find(signature);
+    return it == index->end() ? nullptr : it->second;
+  };
+  if (tier.shared_budget_bytes > 0 || tier.idle_ttl_ticks > 0) {
+    cli_tier->store.emplace(args.Get("state-dir", "rockhopper-state"));
+  }
+  service->AttachStateTier(cli_tier->store ? &*cli_tier->store : nullptr,
+                           std::move(tier));
 }
 
 int RunRecover(const Args& args) {
@@ -620,32 +644,12 @@ int RunRecover(const Args& args) {
   for (int q = 1; q <= SuiteSize(suite); ++q) {
     plans.push_back(FlightingPipeline::PlanFor(suite, q));
   }
+  CliStateTier tier;  // outlives the service that points into it
   TuningService service(space, nullptr, {},
                         static_cast<uint64_t>(args.GetInt("seed", 31)));
-
-  // --lazy-recovery (requires a state tier) restores signatures as cold
-  // pointers that fault in on first touch instead of decoding everything up
-  // front — the bounded-memory restart path.
-  const uint64_t memory_budget =
-      std::strtoull(args.Get("memory-budget", "0").c_str(), nullptr, 10);
-  std::map<uint64_t, const sparksim::QueryPlan*> plan_index;
-  for (const sparksim::QueryPlan& plan : plans) {
-    plan_index[plan.Signature()] = &plan;
-  }
-  std::optional<ModelStore> state_store;
+  AttachStateTierFromArgs(args, plans, &tier, &service);
   TuningService::RecoveryOptions recovery;
-  if (memory_budget > 0 || args.Get("lazy-recovery", "") == "true") {
-    state_store.emplace(args.Get("state-dir", "rockhopper-state"));
-    service.AttachStateTier(
-        &*state_store,
-        StateTierFromArgs(
-            args, memory_budget,
-            [&plan_index](uint64_t signature) -> const sparksim::QueryPlan* {
-              auto it = plan_index.find(signature);
-              return it == plan_index.end() ? nullptr : it->second;
-            }));
-    recovery.lazy = service.state_tier_options().lazy_recovery;
-  }
+  recovery.lazy = service.state_tier_options().lazy_recovery;
   auto report = service.RecoverFromCheckpoint(journal_path, plans, recovery);
   if (!report.ok()) {
     if (report.status().code() == StatusCode::kNotFound) {
@@ -820,9 +824,13 @@ int RunCheckpoint(const Args& args) {
                  closed.ToString().c_str());
     return 1;
   }
+  const std::string published =
+      report->delta_index > 0
+          ? CheckpointDeltaPath(journal_path, report->delta_index)
+          : report->checkpoint_path;
   std::printf("checkpoint %s: seq %llu, %zu records (%zu segments absorbed,"
               " %zu torn records dropped)\n",
-              report->checkpoint_path.c_str(),
+              published.c_str(),
               static_cast<unsigned long long>(report->last_segment),
               report->records, report->segments_absorbed,
               report->records_dropped);
@@ -880,32 +888,13 @@ int RunServeListen(const Args& args) {
   }
 
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 37));
+  CliStateTier tier;  // outlives the service that points into it
   TuningService service(space, nullptr, TuningServiceOptions{}, seed);
-
-  const uint64_t memory_budget =
-      std::strtoull(args.Get("memory-budget", "0").c_str(), nullptr, 10);
-  std::map<uint64_t, const sparksim::QueryPlan*> plan_index;
-  for (const sparksim::QueryPlan& plan : plans) {
-    plan_index[plan.Signature()] = &plan;
-  }
-  std::optional<ModelStore> state_store;
-  const int idle_ttl = args.GetInt("idle-ttl", 0);
-  if (memory_budget > 0 || idle_ttl > 0) {
-    state_store.emplace(args.Get("state-dir", "rockhopper-state"));
-    service.AttachStateTier(
-        &*state_store,
-        StateTierFromArgs(
-            args, memory_budget,
-            [&plan_index](uint64_t signature) -> const sparksim::QueryPlan* {
-              auto it = plan_index.find(signature);
-              return it == plan_index.end() ? nullptr : it->second;
-            }));
-    // The long-running server owns a sweeper thread: idle-TTL eviction and
-    // observation-budget enforcement tick without a foreground driver.
-    if (service.state_tier_options().sweep_interval_ms > 0) {
-      service.StartStateSweeper();
-    }
-  }
+  AttachStateTierFromArgs(args, plans, &tier, &service);
+  // The long-running server owns a sweeper thread: idle-TTL eviction and
+  // observation-budget enforcement tick without a foreground caller.
+  service.StartStateSweeper();
+  const uint64_t memory_budget = service.shared_budget_bytes();
 
   ObservationJournal journal;
   const std::string journal_path = args.Get("journal", "");
@@ -1238,28 +1227,12 @@ int RunServe(const Args& args) {
 
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 37));
   TuningServiceOptions service_options;
+  // A resident-bytes budget arms clock eviction into the cold store;
+  // evicted signatures fault back in on first touch.
+  CliStateTier tier;  // outlives the service that points into it
   TuningService service(space, nullptr, service_options, seed);
-
-  // Tiered state layer: a resident-bytes budget plus a cold-artifact store
-  // arm clock eviction; evicted signatures fault back in on first touch.
-  const uint64_t memory_budget =
-      std::strtoull(args.Get("memory-budget", "0").c_str(), nullptr, 10);
-  std::map<uint64_t, const sparksim::QueryPlan*> plan_index;
-  for (const sparksim::QueryPlan& plan : plans) {
-    plan_index[plan.Signature()] = &plan;
-  }
-  std::optional<ModelStore> state_store;
-  if (memory_budget > 0) {
-    state_store.emplace(args.Get("state-dir", "rockhopper-state"));
-    service.AttachStateTier(
-        &*state_store,
-        StateTierFromArgs(
-            args, memory_budget,
-            [&plan_index](uint64_t signature) -> const sparksim::QueryPlan* {
-              auto it = plan_index.find(signature);
-              return it == plan_index.end() ? nullptr : it->second;
-            }));
-  }
+  AttachStateTierFromArgs(args, plans, &tier, &service);
+  const uint64_t memory_budget = service.shared_budget_bytes();
 
   ObservationJournal journal;
   const std::string journal_path = args.Get("journal", "");
@@ -1623,7 +1596,7 @@ void PrintUsage() {
       "          usage: rockhopper neighbors <signature> --journal=FILE\n"
       "          flags: --suite=tpch|tpcds --k=N --seed=N\n"
       "  checkpoint  compact a journal offline: absorb sealed segments into\n"
-      "          the checkpoint, truncate the absorbed prefix\n"
+      "          the checkpoint chain, truncate the absorbed prefix\n"
       "          flags: --journal=FILE\n"
       "  serve   drive one shared service from concurrent tenant threads\n"
       "          flags: --suite=tpcds|tpch --threads=N --iters=N --chaos\n"
@@ -1640,7 +1613,7 @@ void PrintUsage() {
       "                 --flush-p99-target=S --queue-target=N (admission)\n"
       "                 --net-batch=N --journal=FILE --memory-budget=BYTES\n"
       "                 --admin-token=SECRET (enable the Admin verb)\n"
-      "          state-tier flags (both serve modes):\n"
+      "          state-tier flags (recover and both serve modes):\n"
       "                 --state-budget-fraction=F --obs-window=N\n"
       "                 --idle-ttl=N --sweep-interval-ms=N --compress=false\n"
       "  admin   send one authenticated runtime-control frame to a server\n"

@@ -85,6 +85,13 @@ mkdir -p "${state_scratch}"
   --journal="${state_scratch}/smoke.journal"
 "${build_dir}/tools/rockhopper" recover --suite=tpcds \
   --journal="${state_scratch}/smoke.journal"
+# The same shape with no budget: the tier every service has (no cold
+# store) checkpoints by its delta policy while 8 threads release states
+# through the sizing path, and lazy recovery runs without a budget.
+"${build_dir}/tools/rockhopper" serve --threads=8 --iters=12 \
+  --journal="${state_scratch}/default.journal" --checkpoint-interval=50
+"${build_dir}/tools/rockhopper" recover --suite=tpcds \
+  --journal="${state_scratch}/default.journal" --lazy-recovery=true
 
 # Network smoke under the sanitizer: a real epoll server with two I/O
 # threads takes loopback traffic from a multi-threaded loadgen (closed-loop
