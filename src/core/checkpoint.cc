@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/compress.h"
+#include "common/logging.h"
 #include "core/tracing.h"
 #include "sim/buggify.h"
 
@@ -87,6 +88,12 @@ void CheckDeclared(size_t declared, RecordFile* file) {
 Result<std::string> ReadWhole(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::NotFound("cannot open: " + path);
+  // A device such as /dev/zero never ends; only a regular file holds a
+  // chain.
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) {
+    return Status::InvalidArgument("not a regular file: " + path);
+  }
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
@@ -281,6 +288,9 @@ struct ChainInfo {
   uint64_t chain_seq = 0;
   std::vector<std::pair<uint64_t, std::string>> links;
   std::vector<std::string> stale;
+  /// The first link whose header is damaged (empty when none): the chain
+  /// breaks there, so nothing may be stacked past it.
+  std::string damaged_link;
   /// Cumulative file size of the links (the compaction trigger).
   size_t link_bytes = 0;
 };
@@ -306,9 +316,8 @@ Result<ChainInfo> DiscoverChain(const std::string& journal_path) {
     const bool next_link = chain_open && index == info.links.size() + 1;
     // A published link whose header does not parse, or names another
     // index, is damage rather than a leftover: it keeps its place, so the
-    // chain breaks there (recovery reports the loss) and the next writer
-    // stacks past it instead of overwriting it. Only a header that parses
-    // and names another base image is stale.
+    // chain breaks there (recovery reports the loss). Only a header that
+    // parses and names another base image is stale.
     const bool damaged = !parsed || header.index != index;
     if (next_link &&
         (damaged || (header.base_seq == info.base_seq &&
@@ -316,7 +325,11 @@ Result<ChainInfo> DiscoverChain(const std::string& journal_path) {
       info.links.emplace_back(index, path);
       const auto size = std::filesystem::file_size(path, ec);
       if (!ec) info.link_bytes += static_cast<size_t>(size);
-      if (!damaged) prev_seq = header.last_segment;
+      if (!damaged) {
+        prev_seq = header.last_segment;
+      } else if (info.damaged_link.empty()) {
+        info.damaged_link = path;
+      }
     } else {
       // Left over from an older chain generation, or past a break in this
       // one — never replayed, deleted by the next writer.
@@ -590,6 +603,15 @@ Result<CheckpointReport> CheckpointLive(ObservationJournal* journal,
   ROCKHOPPER_ASSIGN_OR_RETURN(chain, DiscoverChain(journal->path()));
   ROCKHOPPER_RETURN_IF_ERROR(journal->Rotate(chain.chain_seq + 1).status());
   bool full = !chain.have_base || chain.links.size() >= policy.max_chain;
+  if (!chain.damaged_link.empty()) {
+    // Recovery drops every link from the break on, so a delta stacked past
+    // it would lose its records too: collapse the chain instead. The full
+    // image keeps the readable prefix and the fresh segments.
+    ROCKHOPPER_LOG(kWarning) << "checkpoint delta " << chain.damaged_link
+                             << " is damaged; compacting to a full image, "
+                                "which drops it";
+    full = true;
+  }
   if (!full && policy.max_bytes_fraction > 0.0) {
     std::error_code ec;
     const auto base_bytes =
@@ -665,6 +687,7 @@ Result<JournalChain> RecoverJournalChain(const std::string& journal_path) {
     Result<RecordFile> read = ReadJournalFile(journal_path);
     if (read.ok()) {
       found_any = true;
+      chain.live_clean = read->clean;
       chain.tail_records += read->lines.size();
       absorb_damage(*read, journal_path);
       ROCKHOPPER_RETURN_IF_ERROR(ReplayLines(read->lines, &chain.store));

@@ -47,8 +47,9 @@ namespace rockhopper::core {
 /// strictly increase; recovery replays the valid prefix and treats the
 /// remainder as damage. A published delta-<k> whose header does not parse,
 /// or names an index other than k, is damage too: the chain breaks there and
-/// recovery reports kDataLoss naming the file. Deltas publish by the same
-/// tmp+rename protocol:
+/// recovery reports kDataLoss naming the file, and the next compaction is a
+/// full one, so nothing is stacked past the break. Deltas publish by the
+/// same tmp+rename protocol:
 ///  - crash mid-delta-write leaves a .tmp; the chain and segments are
 ///    intact;
 ///  - crash between delta publish and segment removal leaves absorbed
@@ -108,9 +109,9 @@ struct DeltaCheckpointPolicy {
 
 /// The one checkpoint entry point. Rotates `journal` (the group-commit
 /// sequence barrier — every acked record lands in a sealed segment), then
-/// compacts the sealed segments: into a full image when none exists yet or
-/// when `policy` says the chain is due for collapse, otherwise into a new
-/// delta stacked on the chain. The published file appears by atomic
+/// compacts the sealed segments: into a full image when none exists yet,
+/// when a link's header is damaged, or when `policy` says the chain is due
+/// for collapse, otherwise into a new delta stacked on the chain. The published file appears by atomic
 /// rename, after which the absorbed segments (and a collapsed chain) are
 /// removed. The service keeps appending throughout; only the rotation
 /// itself briefly blocks writers. Safe to run on a journal reopened over a
@@ -138,6 +139,10 @@ struct JournalChain {
   size_t bytes_dropped = 0;
   /// False when any file in the chain had a torn or corrupt tail.
   bool clean = true;
+  /// False when the live journal itself ends in damage: a writer must seal
+  /// it (ObservationJournal::Rotate) before appending, or the next recovery
+  /// drops the new records along with the damaged suffix.
+  bool live_clean = true;
   /// OK, or kDataLoss describing the first damage encountered.
   Status tail_status = Status::OK();
 };

@@ -151,6 +151,12 @@ class IngestPipeline {
                    ObservationJournal* journal,
                    std::vector<TelemetryVerdict>* verdicts);
 
+  /// The tune stage alone: recovery and fault-in replay journaled
+  /// observations through it to rebuild the state ingestion produced.
+  bool Tune(const Observation& obs, QueryState* state) const {
+    return tune_.Apply(obs, state);
+  }
+
   const TelemetryStats& stats() const { return sanitize_.stats(); }
   uint64_t journal_errors() const { return journal_.errors(); }
 

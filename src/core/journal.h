@@ -39,9 +39,8 @@ struct GroupCommitOptions {
   size_t queue_capacity = 4096;
 };
 
-/// Crash-safe, append-only observation journal — the restart path that
-/// replaces bulk CSV export for the live service. One line per accepted
-/// observation:
+/// Crash-safe, append-only observation journal — the service's history and
+/// its restart path. One line per accepted observation:
 ///
 ///   rockhopper-journal v1
 ///   <crc32-hex8> <signature> <iteration> <failed> <data_size> <runtime> <c0> <c1> ...
@@ -50,9 +49,8 @@ struct GroupCommitOptions {
 /// payload after the checksum field. A service killed mid-write leaves a
 /// truncated or garbage tail; recovery keeps the longest valid prefix and
 /// reports what it dropped, so a restart never replays corrupt rows
-/// verbatim (unlike the CSV path this replaces). RecoverJournalChain
-/// (core/checkpoint.h) is the one reader, for a bare journal as for one
-/// with sealed segments and checkpoints.
+/// verbatim. RecoverJournalChain (core/checkpoint.h) is the one reader, for
+/// a bare journal as for one with sealed segments and checkpoints.
 ///
 /// Two write modes share the record format:
 ///  - synchronous (default): Append formats, writes, and flushes inline;

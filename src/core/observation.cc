@@ -1,11 +1,6 @@
 #include "core/observation.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
-
-#include "common/csv.h"
-#include "common/table.h"
 
 namespace rockhopper::core {
 
@@ -119,82 +114,6 @@ Result<double> MinRuntime(const ObservationWindow& window) {
   double best = window.front().runtime;
   for (const Observation& obs : window) best = std::min(best, obs.runtime);
   return best;
-}
-
-Status ExportObservations(const sparksim::ConfigSpace& space,
-                          const ObservationStore& store,
-                          const std::string& path) {
-  common::CsvTable table;
-  table.header = {"signature", "iteration", "data_size", "runtime", "failed"};
-  for (const sparksim::ParamSpec& p : space.params()) {
-    table.header.push_back(p.name);
-  }
-  for (uint64_t signature : store.Signatures()) {
-    for (const Observation& obs : store.History(signature)) {
-      if (obs.config.size() != space.size()) {
-        return Status::InvalidArgument(
-            "observation config width does not match space");
-      }
-      std::vector<std::string> row;
-      row.push_back(std::to_string(signature));
-      row.push_back(std::to_string(obs.iteration));
-      row.push_back(common::TextTable::FormatDouble(obs.data_size, 6));
-      row.push_back(common::TextTable::FormatDouble(obs.runtime, 6));
-      row.push_back(obs.failed ? "1" : "0");
-      for (double v : obs.config) {
-        row.push_back(common::TextTable::FormatDouble(v, 6));
-      }
-      table.rows.push_back(std::move(row));
-    }
-  }
-  return common::WriteCsvFile(path, table);
-}
-
-Result<ImportedObservations> ImportObservations(
-    const sparksim::ConfigSpace& space, const std::string& path) {
-  ROCKHOPPER_ASSIGN_OR_RETURN(table, common::ReadCsvFile(path));
-  // Files written before the `failed` column existed have one fewer column.
-  const bool has_failed_column = table.ColumnIndex("failed").ok();
-  const size_t expected = (has_failed_column ? 5 : 4) + space.size();
-  if (table.header.size() != expected) {
-    return Status::InvalidArgument("observation log column count mismatch");
-  }
-  ROCKHOPPER_ASSIGN_OR_RETURN(sig_col, table.ColumnIndex("signature"));
-  ROCKHOPPER_ASSIGN_OR_RETURN(iterations, table.NumericColumn("iteration"));
-  ROCKHOPPER_ASSIGN_OR_RETURN(sizes, table.NumericColumn("data_size"));
-  ROCKHOPPER_ASSIGN_OR_RETURN(runtimes, table.NumericColumn("runtime"));
-  std::vector<double> failed_col(table.rows.size(), 0.0);
-  if (has_failed_column) {
-    ROCKHOPPER_ASSIGN_OR_RETURN(col, table.NumericColumn("failed"));
-    failed_col = col;
-  }
-  std::vector<std::vector<double>> config_cols;
-  for (const sparksim::ParamSpec& p : space.params()) {
-    ROCKHOPPER_ASSIGN_OR_RETURN(col, table.NumericColumn(p.name));
-    config_cols.push_back(col);
-  }
-  ImportedObservations imported;
-  for (size_t i = 0; i < table.rows.size(); ++i) {
-    if (!std::isfinite(runtimes[i]) || runtimes[i] <= 0.0 ||
-        !std::isfinite(sizes[i]) || sizes[i] <= 0.0) {
-      ++imported.skipped_rows;
-      continue;
-    }
-    // Signatures are 64-bit hashes: parse as integers to keep full precision.
-    const uint64_t signature =
-        std::strtoull(table.rows[i][sig_col].c_str(), nullptr, 10);
-    Observation obs;
-    obs.iteration = static_cast<int>(iterations[i]);
-    obs.data_size = sizes[i];
-    obs.runtime = runtimes[i];
-    obs.failed = failed_col[i] != 0.0;
-    obs.config.resize(space.size());
-    for (size_t j = 0; j < space.size(); ++j) {
-      obs.config[j] = config_cols[j][i];
-    }
-    imported.store.Append(signature, std::move(obs));
-  }
-  return imported;
 }
 
 }  // namespace rockhopper::core

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -138,29 +137,6 @@ class ObservationStore {
 
 /// The lowest runtime in `window`; error when empty.
 Result<double> MinRuntime(const ObservationWindow& window);
-
-/// Persists the full store as CSV (one row per observation, one column per
-/// parameter of `space`) — the event-file storage of §5 that survives
-/// service restarts.
-Status ExportObservations(const sparksim::ConfigSpace& space,
-                          const ObservationStore& store,
-                          const std::string& path);
-
-/// An imported event file plus what had to be dropped to load it.
-struct ImportedObservations {
-  ObservationStore store;
-  /// Rows rejected for non-finite or non-positive runtime/data size — a
-  /// corrupt event file must not poison the replay after a restart.
-  size_t skipped_rows = 0;
-};
-
-/// Reloads a store written by ExportObservations; fails when the column
-/// layout does not match `space`. Rows carrying non-finite or non-positive
-/// runtime or data size are skipped (counted in the result) rather than
-/// replayed verbatim. Accepts files written before the `failed` column
-/// existed.
-Result<ImportedObservations> ImportObservations(
-    const sparksim::ConfigSpace& space, const std::string& path);
 
 }  // namespace rockhopper::core
 

@@ -472,28 +472,37 @@ const sparksim::QueryPlan* TuningService::ResolvePlan(
   return plan_resolver_ ? plan_resolver_(signature) : nullptr;
 }
 
-Result<QueryState> TuningService::ReplayColdState(
-    uint64_t signature, const sparksim::QueryPlan& plan) {
+QueryState TuningService::ReplayState(const sparksim::QueryPlan& plan,
+                                      uint64_t signature,
+                                      const std::vector<Observation>& history) {
+  // The journaled runtimes are the ones ingestion fed the tuner, so the
+  // rebuilt trajectory is bit-identical. Replay never consults neighbors:
+  // a recovered twin whose signatures arrive in digest order would
+  // otherwise see different neighbor sets than the live service did.
   QueryState state = BuildState(plan, signature, /*allow_transfer=*/false);
-  // Safe to iterate by reference: appends to this signature's history only
-  // happen under its shard-map lock, which our caller (the fault-in path)
-  // already holds. Replays the journaled runtimes exactly as ingestion fed
-  // them to the tuner, so the rebuilt trajectory is bit-identical.
-  const std::vector<Observation>& history = observations_.History(signature);
   for (const Observation& obs : history) {
-    if (!SanitizeReplayRow(obs)) continue;
-    if (state.disabled) continue;
-    state.tuner->Observe(obs.config, obs.data_size, obs.runtime);
-    if (options_.enable_guardrail && !state.guardrail.Record(obs)) {
-      state.disabled = true;
-    }
+    if (SanitizeReplayRow(obs)) pipeline_.Tune(obs, &state);
   }
   return state;
 }
 
+size_t TuningService::RestoreHistory(uint64_t signature,
+                                     const std::vector<Observation>& history) {
+  // Every row lands in the store, a disabled signature's too: the live
+  // pipeline journals accepted observations after a guardrail disable, so
+  // a restart reproduces the full history, not a prefix.
+  size_t kept = 0;
+  for (const Observation& obs : history) {
+    if (!SanitizeReplayRow(obs)) continue;
+    observations_.Append(signature, obs);
+    ++kept;
+  }
+  return kept;
+}
+
 bool TuningService::SanitizeReplayRow(const Observation& obs) const {
   // The same invariants the ingestion boundary enforces: persisted rows
-  // are not above suspicion (corrupt event files, hand-edited CSVs).
+  // are not above suspicion.
   return std::isfinite(obs.runtime) && std::isfinite(obs.data_size) &&
          obs.runtime > 0.0 && obs.data_size > 0.0 &&
          obs.config.size() == space_.size();
@@ -538,7 +547,10 @@ Result<QueryState> TuningService::LoadColdState(uint64_t signature,
           << "); rebuilding from observation history";
     }
   }
-  return ReplayColdState(signature, *plan);
+  // Safe to iterate by reference: appends to this signature's history only
+  // happen under its shard-map lock, which our caller (the fault-in path)
+  // already holds.
+  return ReplayState(*plan, signature, observations_.History(signature));
 }
 
 Result<CheckpointReport> TuningService::Checkpoint() {
@@ -573,35 +585,6 @@ Result<CheckpointReport> TuningService::Checkpoint() {
   return report;
 }
 
-size_t TuningService::ReplayHistory(const sparksim::QueryPlan& plan,
-                                    const ObservationWindow& history) {
-  const uint64_t signature = plan.Signature();
-  shards_.Erase(signature);
-  // Replay must rebuild the journal-determined trajectory, so the fresh
-  // state never consults neighbors — a recovered twin whose signatures
-  // arrive in digest order would otherwise see different neighbor sets than
-  // the live service did and diverge.
-  SignatureShardMap::LockedState locked = shards_.Emplace(
-      signature, BuildState(plan, signature, /*allow_transfer=*/false));
-  QueryState& state = *locked.state;
-  size_t replayed = 0;
-  for (const Observation& obs : history) {
-    if (!SanitizeReplayRow(obs)) continue;
-    observations_.Append(signature, obs);
-    ++replayed;
-    // Mirror the live pipeline exactly: accepted observations keep landing
-    // in the store and journal after a guardrail disable (the journal stage
-    // runs before the tune stage), but the tuner and guardrail stop
-    // evolving — so a restart reproduces the full history, not a prefix.
-    if (state.disabled) continue;
-    state.tuner->Observe(obs.config, obs.data_size, obs.runtime);
-    if (options_.enable_guardrail && !state.guardrail.Record(obs)) {
-      state.disabled = true;
-    }
-  }
-  return replayed;
-}
-
 Result<TuningService::RecoveryReport> TuningService::RecoverFromCheckpoint(
     const std::string& path, const std::vector<sparksim::QueryPlan>& plans,
     RecoveryOptions recovery) {
@@ -609,6 +592,7 @@ Result<TuningService::RecoveryReport> TuningService::RecoverFromCheckpoint(
 
   RecoveryReport report;
   report.journal_clean = chain.clean;
+  report.live_journal_clean = chain.live_clean;
   report.journal_status = chain.tail_status;
   report.observations_dropped = chain.records_dropped;
   report.checkpoint_seq = chain.checkpoint_seq;
@@ -631,28 +615,22 @@ Result<TuningService::RecoveryReport> TuningService::RecoverFromCheckpoint(
     }
     restored.push_back(signature);
     const std::vector<Observation>& history = chain.store.History(signature);
+    const size_t kept = RestoreHistory(signature, history);
+    report.observations_replayed += kept;
+    report.observations_dropped += history.size() - kept;
+    ++report.signatures_restored;
     if (recovery.lazy) {
-      // Bounded-memory startup: load the history and leave a replay
-      // tombstone; the tuner materializes on the signature's first touch.
-      // Same sanitize filter as the eager path so a lazy twin ends up with
-      // a byte-identical observation store.
-      size_t kept = 0;
-      for (const Observation& obs : history) {
-        if (!SanitizeReplayRow(obs)) continue;
-        observations_.Append(signature, obs);
-        ++kept;
-      }
+      // Bounded-memory startup: a replay tombstone; the tuner materializes
+      // from the store on the signature's first touch.
       ColdEntry cold;
       cold.source = ColdSource::kReplay;
       shards_.InsertCold(signature, cold);
-      report.observations_replayed += kept;
-      report.observations_dropped += history.size() - kept;
     } else {
-      const size_t replayed = ReplayHistory(*plan, history);
-      report.observations_replayed += replayed;
-      report.observations_dropped += history.size() - replayed;
+      // Replayed from the chain's history, not from the store: retention
+      // may already have truncated the store to a suffix.
+      shards_.Erase(signature);
+      shards_.Emplace(signature, ReplayState(*plan, signature, history));
     }
-    ++report.signatures_restored;
   }
   // Pre-warm the transfer index from the checkpointed artifact, filtered to
   // the signatures this recovery actually restored. Eagerly-replayed

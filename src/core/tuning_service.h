@@ -336,6 +336,9 @@ class TuningService {
     size_t unknown_signatures = 0;
     /// False when the journal had a truncated or corrupt tail.
     bool journal_clean = true;
+    /// False when the live journal file itself ends in damage (see
+    /// JournalChain::live_clean): seal it before appending.
+    bool live_journal_clean = true;
     /// OK for a clean journal, kDataLoss for a recovered-around corrupt or
     /// truncated tail (see JournalChain::tail_status).
     Status journal_status = Status::OK();
@@ -456,18 +459,17 @@ class TuningService {
   /// budget.
   void EnforceObservationBudget();
   void StopStateSweeper();
-  /// Replays `signature`'s observation history through a fresh state.
-  /// Caller must hold the signature's shard lock or be single-threaded:
-  /// per-signature history only mutates under that same shard lock.
-  Result<QueryState> ReplayColdState(uint64_t signature,
-                                     const sparksim::QueryPlan& plan);
+  /// Rebuilds one signature's tuner and guardrail: a fresh state fed every
+  /// row of `history` that passes SanitizeReplayRow through the ingest
+  /// pipeline's tune stage, so the trajectory is the one ingestion produced.
+  QueryState ReplayState(const sparksim::QueryPlan& plan, uint64_t signature,
+                         const std::vector<Observation>& history);
+  /// Appends the rows of a recovered `history` that pass SanitizeReplayRow
+  /// to the observation store; returns how many it kept.
+  size_t RestoreHistory(uint64_t signature,
+                        const std::vector<Observation>& history);
   /// Plan lookup across the recovery directory and the user resolver.
   const sparksim::QueryPlan* ResolvePlan(uint64_t signature) const;
-  /// Eager recovery of one signature: replays `history` through a fresh
-  /// tuner and guardrail, replacing any existing state. Rows that would not
-  /// pass ingestion sanitization are skipped; returns the number replayed.
-  size_t ReplayHistory(const sparksim::QueryPlan& plan,
-                       const ObservationWindow& history);
   /// Shared row filter for every replay path (eager, lazy, cold rebuild):
   /// mirrors the ingestion boundary's finite/positive/arity checks so all
   /// three produce identical observation stores.

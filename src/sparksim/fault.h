@@ -63,9 +63,9 @@ struct FaultParams {
   /// No faults at all — the default; the simulator behaves exactly as
   /// before this model existed.
   static FaultParams None() { return {}; }
-  /// The chaos preset used by the integration tests and the CLI `chaos`
-  /// command: >= 5% job-failure rate at defaults plus every telemetry
-  /// corruption mode.
+  /// The chaos preset used by the integration tests, the simulation
+  /// harness and `rockhopper serve --chaos`: >= 5% job-failure rate at
+  /// defaults plus every telemetry corruption mode.
   static FaultParams Production();
 
   bool InjectsJobFaults() const {

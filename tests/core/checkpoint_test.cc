@@ -631,8 +631,9 @@ TEST_F(DeltaCheckpointTest, DeltaPublishedOverStaleLeftoverSurvives) {
 
 /// A published delta whose header is damaged must not read as a stale
 /// leftover (which recovery skips silently): the chain breaks there and
-/// recovery reports the loss against the file. The next writer stacks past
-/// it rather than overwriting the evidence.
+/// recovery reports the loss against the file. The next writer compacts to
+/// a full image instead of stacking a delta past the break, where recovery
+/// would drop it too.
 TEST_F(DeltaCheckpointTest, DamagedDeltaHeaderIsDataLossNotStale) {
   Result<ObservationJournal> journal = ObservationJournal::Open(path_);
   ASSERT_TRUE(journal.ok());
@@ -650,6 +651,7 @@ TEST_F(DeltaCheckpointTest, DamagedDeltaHeaderIsDataLossNotStale) {
     Result<JournalChain> chain = RecoverJournalChain(path_);
     ASSERT_TRUE(chain.ok());
     EXPECT_FALSE(chain->clean);
+    EXPECT_TRUE(chain->live_clean);  // the damage is not in the live file
     EXPECT_EQ(chain->tail_status.code(), StatusCode::kDataLoss);
     EXPECT_NE(chain->tail_status.message().find(delta_path), std::string::npos)
         << chain->tail_status.ToString();
@@ -661,12 +663,14 @@ TEST_F(DeltaCheckpointTest, DamagedDeltaHeaderIsDataLossNotStale) {
   Append(&*journal, 11, 1);
   Result<CheckpointReport> next = CheckpointLive(&*journal, Policy());
   ASSERT_TRUE(next.ok());
-  EXPECT_EQ(next->delta_index, 2u);
-  EXPECT_TRUE(std::filesystem::exists(delta_path));
+  EXPECT_EQ(next->delta_index, 0u);
+  EXPECT_FALSE(std::filesystem::exists(delta_path));
   ASSERT_TRUE(journal->Close().ok());
   Result<JournalChain> chain = RecoverJournalChain(path_);
   ASSERT_TRUE(chain.ok());
-  EXPECT_EQ(chain->tail_status.code(), StatusCode::kDataLoss);
+  EXPECT_TRUE(chain->clean) << chain->tail_status.ToString();
+  EXPECT_EQ(chain->store.Count(7), 3u);
+  EXPECT_EQ(chain->store.Count(11), 1u);
 }
 
 TEST_F(DeltaCheckpointTest, TornCompressedDeltaIsDataLossNotGarbage) {

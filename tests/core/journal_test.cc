@@ -108,6 +108,7 @@ TEST_F(JournalTest, TruncatedTailKeepsPrefix) {
   Result<JournalChain> recovered = RecoverJournalChain(path_);
   ASSERT_TRUE(recovered.ok());
   EXPECT_FALSE(recovered->clean);
+  EXPECT_FALSE(recovered->live_clean);
   EXPECT_EQ(recovered->tail_status.code(), StatusCode::kDataLoss);
   EXPECT_EQ(recovered->tail_records, 4u);
   EXPECT_EQ(recovered->records_dropped, 1u);

@@ -2,11 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-
 namespace rockhopper::core {
 namespace {
 
@@ -72,117 +67,6 @@ TEST(ObservationStoreTest, SignaturesListsAllKeys) {
   store.Append(9, Obs(2.0));
   const std::vector<uint64_t> sigs = store.Signatures();
   EXPECT_EQ(sigs.size(), 2u);
-}
-
-TEST(ObservationPersistenceTest, ExportImportRoundTrip) {
-  const sparksim::ConfigSpace space = sparksim::QueryLevelSpace();
-  ObservationStore store;
-  common::Rng rng(1);
-  const uint64_t sig_a = 0xdeadbeefcafef00dULL;  // full 64-bit signature
-  const uint64_t sig_b = 17;
-  for (int i = 0; i < 5; ++i) {
-    Observation o;
-    o.config = space.Sample(&rng);
-    o.data_size = rng.Uniform(0.5, 3.0);
-    o.runtime = rng.Uniform(10.0, 100.0);
-    store.Append(sig_a, o);
-    if (i < 2) store.Append(sig_b, o);
-  }
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rockhopper_obs.csv")
-          .string();
-  ASSERT_TRUE(ExportObservations(space, store, path).ok());
-  Result<ImportedObservations> loaded = ImportObservations(space, path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->skipped_rows, 0u);
-  EXPECT_EQ(loaded->store.Count(sig_a), 5u);
-  EXPECT_EQ(loaded->store.Count(sig_b), 2u);
-  for (size_t i = 0; i < 5; ++i) {
-    const Observation& orig = store.History(sig_a)[i];
-    const Observation& back = loaded->store.History(sig_a)[i];
-    EXPECT_EQ(back.iteration, orig.iteration);
-    EXPECT_EQ(back.failed, orig.failed);
-    EXPECT_NEAR(back.runtime, orig.runtime, 1e-4 * orig.runtime);
-    EXPECT_NEAR(back.config[2], orig.config[2], 1e-3);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(ObservationPersistenceTest, ImportRejectsWrongSchema) {
-  const sparksim::ConfigSpace query = sparksim::QueryLevelSpace();
-  const sparksim::ConfigSpace joint = sparksim::JointSpace();
-  ObservationStore store;
-  Observation o = Obs(1.0);
-  store.Append(1, o);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rockhopper_obs2.csv")
-          .string();
-  ASSERT_TRUE(ExportObservations(query, store, path).ok());
-  EXPECT_FALSE(ImportObservations(joint, path).ok());
-  std::remove(path.c_str());
-}
-
-TEST(ObservationPersistenceTest, ImportSkipsCorruptRowsWithCount) {
-  // A corrupt event file (NaN, negative, zero, and infinite runtimes/sizes)
-  // must not poison a replay: bad rows are skipped and counted, good
-  // rows survive.
-  const sparksim::ConfigSpace space = sparksim::QueryLevelSpace();
-  std::ostringstream csv;
-  csv << "signature,iteration,data_size,runtime,failed";
-  for (const sparksim::ParamSpec& p : space.params()) csv << "," << p.name;
-  const std::string config_cells = ",100000,100000,100";
-  csv << "\n7,0,1.0,50.0,0" << config_cells;       // good
-  csv << "\n7,1,1.0,nan,0" << config_cells;        // NaN runtime
-  csv << "\n7,2,1.0,-3.0,0" << config_cells;       // negative runtime
-  csv << "\n7,3,0.0,40.0,0" << config_cells;       // zero data size
-  csv << "\n7,4,inf,40.0,0" << config_cells;       // infinite data size
-  csv << "\n7,5,1.0,45.0,1" << config_cells;       // good (failed run)
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rockhopper_corrupt.csv")
-          .string();
-  {
-    std::ofstream out(path);
-    out << csv.str() << "\n";
-  }
-  Result<ImportedObservations> loaded = ImportObservations(space, path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->skipped_rows, 4u);
-  ASSERT_EQ(loaded->store.Count(7), 2u);
-  EXPECT_DOUBLE_EQ(loaded->store.History(7)[0].runtime, 50.0);
-  EXPECT_FALSE(loaded->store.History(7)[0].failed);
-  EXPECT_TRUE(loaded->store.History(7)[1].failed);
-  std::remove(path.c_str());
-}
-
-TEST(ObservationPersistenceTest, ImportAcceptsPreFailedColumnFiles) {
-  // Event files written before the `failed` column existed still load.
-  const sparksim::ConfigSpace space = sparksim::QueryLevelSpace();
-  std::ostringstream csv;
-  csv << "signature,iteration,data_size,runtime";
-  for (const sparksim::ParamSpec& p : space.params()) csv << "," << p.name;
-  csv << "\n9,0,1.0,25.0,100000,100000,100\n";
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rockhopper_legacy.csv")
-          .string();
-  {
-    std::ofstream out(path);
-    out << csv.str();
-  }
-  Result<ImportedObservations> loaded = ImportObservations(space, path);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->store.Count(9), 1u);
-  EXPECT_FALSE(loaded->store.History(9)[0].failed);
-  std::remove(path.c_str());
-}
-
-TEST(ObservationPersistenceTest, ExportRejectsMismatchedConfigWidth) {
-  const sparksim::ConfigSpace space = sparksim::QueryLevelSpace();
-  ObservationStore store;
-  Observation o;
-  o.config = {1.0};  // wrong width
-  store.Append(1, o);
-  EXPECT_FALSE(
-      ExportObservations(space, store, "/tmp/rockhopper_never.csv").ok());
 }
 
 TEST(ObservationRetentionTest, WindowBoundsHistoryAndKeepsIterationNumbers) {

@@ -1,8 +1,8 @@
 // Deployment-lifecycle integration: the full production story of §5 in one
 // test — offline flighting trains a baseline; the artifact is serialized
 // into the model store; a "client" deserializes it and serves a tuning
-// session; the event log is persisted; a restarted service resumes from it;
-// and the monitoring dashboard diagnoses the session.
+// session that journals its history; a restarted service resumes from the
+// journal; and the monitoring dashboard diagnoses the session.
 
 #include <filesystem>
 #include <gtest/gtest.h>
@@ -77,7 +77,10 @@ TEST_F(DeploymentTest, FullLifecycle) {
   TuningServiceOptions service_options;
   service_options.guardrail.min_iterations = 60;  // out of this test's way
   TuningService service(space, &client_model, service_options, 5);
-
+  const std::string journal_path = root_ + "/service.journal";
+  auto journal = ObservationJournal::Open(journal_path);
+  ASSERT_TRUE(journal.ok());
+  service.AttachJournal(&*journal);
   const sparksim::QueryPlan query = sparksim::TpchPlan(5);
   TuningMonitor monitor(&space);
   for (int run = 0; run < 25; ++run) {
@@ -99,25 +102,8 @@ TEST_F(DeploymentTest, FullLifecycle) {
   EXPECT_EQ(service.IterationCount(query.Signature()), 25u);
   ASSERT_TRUE(service.ExplainQuery(query.Signature()).ok());
 
-  // --- Persist the event log; restart; resume. ---------------------------
-  const std::string events_path = root_ + "/events.csv";
-  ASSERT_TRUE(
-      ExportObservations(space, service.observations(), events_path).ok());
-  auto reloaded = ImportObservations(space, events_path);
-  ASSERT_TRUE(reloaded.ok());
-  EXPECT_EQ(reloaded->skipped_rows, 0u);
-  // The restarted service recovers the imported rows through a journal,
-  // the one restore path.
-  const std::string journal_path = root_ + "/events.journal";
-  {
-    auto journal = ObservationJournal::Open(journal_path);
-    ASSERT_TRUE(journal.ok());
-    for (const Observation& obs :
-         reloaded->store.History(query.Signature())) {
-      ASSERT_TRUE(journal->Append(query.Signature(), obs).ok());
-    }
-    ASSERT_TRUE(journal->Close().ok());
-  }
+  // --- Restart; resume from the journal. --------------------------------
+  ASSERT_TRUE(service.Shutdown().ok());
   TuningService restarted(space, &client_model, service_options, 6);
   ASSERT_TRUE(restarted.RecoverFromCheckpoint(journal_path, {query}).ok());
   EXPECT_EQ(restarted.IterationCount(query.Signature()), 25u);

@@ -23,12 +23,9 @@ struct FaultTallies {
 
 // One tenant's recurring job: drives a single plan through `iterations`
 // start/simulate/end cycles. Event ids are per-signature, which is all the
-// sanitizer's per-signature dedup window needs. `tallies` may be null
-// (callers that do not report fault counts).
-void DrivePlanImpl(core::TuningService* service,
-                   const sparksim::QueryPlan& plan,
-                   const ConcurrentDriverOptions& options,
-                   FaultTallies* tallies) {
+// sanitizer's per-signature dedup window needs.
+void DrivePlan(core::TuningService* service, const sparksim::QueryPlan& plan,
+               const ConcurrentDriverOptions& options, FaultTallies* tallies) {
   sparksim::SparkSimulator::Options sim_options;
   sim_options.noise = sparksim::NoiseParams{options.fluctuation_level,
                                             options.spike_level};
@@ -53,7 +50,7 @@ void DrivePlanImpl(core::TuningService* service,
       std::this_thread::sleep_for(
           std::chrono::microseconds(options.execution_latency_us));
     }
-    if (result.failed && tallies != nullptr) {
+    if (result.failed) {
       tallies->job_failures.fetch_add(1, std::memory_order_relaxed);
     }
 
@@ -71,28 +68,20 @@ void DrivePlanImpl(core::TuningService* service,
       if (fault.corruption != sparksim::TelemetryFault::Corruption::kNone) {
         event.runtime = sparksim::FaultModel::CorruptRuntime(event.runtime,
                                                              fault.corruption);
-        if (tallies != nullptr) {
-          tallies->corrupted.fetch_add(1, std::memory_order_relaxed);
-        }
+        tallies->corrupted.fetch_add(1, std::memory_order_relaxed);
       }
       if (fault.drop) {
-        if (tallies != nullptr) {
-          tallies->dropped.fetch_add(1, std::memory_order_relaxed);
-        }
+        tallies->dropped.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
       if (fault.reorder) {
-        if (tallies != nullptr) {
-          tallies->reordered.fetch_add(1, std::memory_order_relaxed);
-        }
+        tallies->reordered.fetch_add(1, std::memory_order_relaxed);
         delayed.push_back(event);
         continue;
       }
       service->OnQueryEnd(handle, event);
       if (fault.duplicate) {
-        if (tallies != nullptr) {
-          tallies->duplicated.fetch_add(1, std::memory_order_relaxed);
-        }
+        tallies->duplicated.fetch_add(1, std::memory_order_relaxed);
         service->OnQueryEnd(handle, event);
       }
       while (!delayed.empty()) {
@@ -111,12 +100,6 @@ void DrivePlanImpl(core::TuningService* service,
 
 }  // namespace
 
-void ConcurrentDriver::DrivePlan(core::TuningService* service,
-                                 const sparksim::QueryPlan& plan,
-                                 const ConcurrentDriverOptions& options) {
-  DrivePlanImpl(service, plan, options, nullptr);
-}
-
 ConcurrentDriverReport ConcurrentDriver::Run(
     const std::vector<sparksim::QueryPlan>& plans) {
   ConcurrentDriverReport report;
@@ -133,7 +116,7 @@ ConcurrentDriverReport ConcurrentDriver::Run(
     workers.emplace_back([&, t] {
       for (size_t i = static_cast<size_t>(t); i < plans.size();
            i += static_cast<size_t>(threads)) {
-        DrivePlanImpl(service_, plans[i], options_, &tallies);
+        DrivePlan(service_, plans[i], options_, &tallies);
       }
     });
   }

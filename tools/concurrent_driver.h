@@ -63,15 +63,6 @@ class ConcurrentDriver {
   /// observations, journal) for inspection.
   ConcurrentDriverReport Run(const std::vector<sparksim::QueryPlan>& plans);
 
-  /// Drives a single plan through `options.iterations` start/simulate/end
-  /// cycles against `service` on the calling thread — the per-tenant unit of
-  /// work Run() fans out. Public so harnesses that bring their own executor
-  /// (e.g. a ThreadPool::ParallelFor over plans) can reuse the exact tenant
-  /// behavior, chaos injection included; fault tallies are not reported.
-  static void DrivePlan(core::TuningService* service,
-                        const sparksim::QueryPlan& plan,
-                        const ConcurrentDriverOptions& options);
-
  private:
   core::TuningService* service_;
   ConcurrentDriverOptions options_;

@@ -5,29 +5,23 @@
 //       run the offline flighting pipeline, export the trace CSV, train
 //       the baseline model, and store the serialized artifact (§4.2, §5);
 //
-//   rockhopper tune --suite=tpch --iters=40 --model-dir=DIR [--events=FILE]
+//   rockhopper tune --suite=tpch --iters=40 --model-dir=DIR [--journal=FILE]
 //       load the stored baseline, tune the chosen suite online against the
-//       simulator, print per-query outcomes, and optionally persist the
-//       event log;
+//       simulator, and print per-query outcomes; --journal resumes from the
+//       journal chain and appends to it;
 //
-//   rockhopper report --events=FILE
-//       reload a persisted event log and print the monitoring dashboard
-//       (trend, per-dimension insights, RCA verdict) per query signature
-//       (§6.3 posterior analysis);
-//
-//   rockhopper chaos --suite=tpch --iters=60 [--journal=FILE] [--seeds=A..B]
-//       tune under the production fault-injection preset (job failures,
-//       dropped/duplicated/corrupted telemetry) and print the sanitizer,
-//       failure-policy, and guardrail outcomes; --seeds sweeps a seed range
-//       with journal-accounting and recovery invariants checked per seed,
-//       exiting non-zero with the reproducing seed on the first violation;
+//   rockhopper report --journal=FILE
+//       read a journal chain and print the monitoring dashboard (trend,
+//       per-dimension insights, RCA verdict) per query signature (§6.3
+//       posterior analysis);
 //
 //   rockhopper simulate --seed=N | --seeds=A..B [--trace=FILE]
 //       run the deterministic whole-service simulation harness (src/sim):
 //       multi-tenant virtual-clock serving, a mid-run crash, recovery, and
 //       cross-layer invariant checks, all derived from the seed; in
 //       ROCKHOPPER_SIM builds Buggify sections also inject journal / model
-//       store / pipeline faults (docs/FAULT_MODEL.md);
+//       store / pipeline faults (docs/FAULT_MODEL.md); --seeds sweeps a seed
+//       range and exits non-zero with the reproducing seed;
 //
 //   rockhopper replay --trace=FILE
 //       load a CRC-checked trace recorded by simulate --trace and replay it
@@ -47,21 +41,18 @@
 //
 //   rockhopper serve --suite=tpcds --threads=8 --iters=20 [--chaos]
 //       drive one shared tuning service from concurrent tenant threads
-//       (the multi-tenant deployment shape of §6.3) and print aggregate
-//       throughput; --journal=FILE appends through the group-commit path;
-//       --memory-budget=BYTES arms the tiered state layer (cold-signature
-//       eviction with transparent fault-in); --checkpoint-interval=N
-//       compacts the journal every N accepted observations while serving;
-//       exits with a metrics scrape (--metrics-format=prom|json|off);
+//       (the multi-tenant deployment shape of §6.3), or from the wire
+//       protocol with --listen; --journal=FILE resumes from the chain and
+//       appends through group commit; --memory-budget=BYTES arms the tiered
+//       state layer; --checkpoint-interval=N compacts the journal every N
+//       accepted observations; exits with a metrics scrape
+//       (--metrics-format=prom|json|off);
 //
-//   rockhopper metrics --suite=tpch --iters=30 --threads=4 [--format=json]
-//       exercise every instrumented subsystem (ingestion spans, journal
-//       group commit, thread pool, simulator memo) with a chaos workload,
-//       then print one scrape of the service's metrics registry in
-//       Prometheus text or JSON exposition;
-//
-// Every run is deterministic given --seed (serve: per-signature streams are
-// seed-deterministic; thread interleaving varies).
+// serve, serve --listen, tune and recover hold their service through one
+// ServingSetup (below), so a journal is only ever appended by a service
+// that has recovered it. Every run is deterministic given --seed (serve:
+// per-signature streams are seed-deterministic; thread interleaving
+// varies).
 
 #include <atomic>
 #include <chrono>
@@ -69,7 +60,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <map>
 #include <optional>
@@ -78,7 +68,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 
 #include "core/checkpoint.h"
 #include "core/embedding.h"
@@ -96,7 +85,6 @@
 #include "sim/service_digest.h"
 #include "sim/sim_runner.h"
 #include "sim/trace.h"
-#include "sparksim/fault.h"
 #include "sparksim/simulator.h"
 #include "sparksim/workloads.h"
 #include "tools/concurrent_driver.h"
@@ -168,15 +156,277 @@ bool ParseSeedRange(const std::string& text, uint64_t* lo, uint64_t* hi) {
   return *lo <= *hi;
 }
 
-FlightingConfig::Suite SuiteFromName(const std::string& name) {
-  return name == "tpch" ? FlightingConfig::Suite::kTpch
-                        : FlightingConfig::Suite::kTpcds;
+// The suite --suite names (`fallback` when absent). Any other name is a
+// usage error: the process exits 2 naming the two suites.
+FlightingConfig::Suite SuiteArg(const Args& args, const char* fallback) {
+  const std::string name = args.Get("suite", fallback);
+  if (name == "tpch") return FlightingConfig::Suite::kTpch;
+  if (name == "tpcds") return FlightingConfig::Suite::kTpcds;
+  std::fprintf(stderr, "unknown --suite=%s (want tpch or tpcds)\n",
+               name.c_str());
+  std::exit(2);
 }
 
-int SuiteSize(FlightingConfig::Suite suite) {
-  return suite == FlightingConfig::Suite::kTpch ? sparksim::kNumTpchQueries
-                                                : sparksim::kNumTpcdsQueries;
+// Every plan of the --suite suite, in query order.
+std::vector<sparksim::QueryPlan> SuitePlans(const Args& args,
+                                            const char* fallback) {
+  const FlightingConfig::Suite suite = SuiteArg(args, fallback);
+  const int count = suite == FlightingConfig::Suite::kTpch
+                        ? sparksim::kNumTpchQueries
+                        : sparksim::kNumTpcdsQueries;
+  std::vector<sparksim::QueryPlan> plans;
+  for (int q = 1; q <= count; ++q) {
+    plans.push_back(FlightingPipeline::PlanFor(suite, q));
+  }
+  return plans;
 }
+
+// How a journal chain read: clean, or recovered around damage — kDataLoss
+// means bytes were dropped, and re-reading will not bring them back.
+void PrintJournalStatus(const std::string& path, const Status& status) {
+  if (status.ok()) {
+    std::printf("journal %s: clean\n", path.c_str());
+  } else {
+    std::printf("journal %s: recovered around damaged tail (%s)\n",
+                path.c_str(), status.ToString().c_str());
+  }
+}
+
+// The one serving setup. serve, serve --listen, tune and recover hold their
+// service through it and differ only in the traffic they drive between
+// Open and Close:
+//   Open   1. attach the state tier the flags describe;
+//          2. start its sweeper;
+//          3. recover the --journal chain (none yet is a cold start;
+//             --lazy-recovery picks lazy recovery);
+//          4. open the journal in group commit (compacting a damaged live
+//             tail away first);
+//          5. compact every --checkpoint-interval accepted observations;
+//          6. the verb drives its traffic and drains it;
+//   Close  7. run one final compaction;
+//          8. shut the journal down, Status checked;
+//          9. print the exit report and the metrics scrape.
+// Without --journal the journal steps are skipped. servebench's
+// ServingStack runs the same order.
+class ServingSetup {
+ public:
+  // `plans` must outlive the setup.
+  ServingSetup(const Args& args, const std::vector<sparksim::QueryPlan>& plans,
+               const BaselineModel* baseline, uint64_t seed)
+      : args_(args),
+        plans_(plans),
+        space_(sparksim::QueryLevelSpace()),
+        journal_path_(args.Get("journal", "")),
+        checkpoint_interval_(args.GetInt("checkpoint-interval", 0)),
+        service_(space_, baseline, TuningServiceOptions{}, seed) {}
+  ~ServingSetup() { StopCompactor(); }
+  ServingSetup(const ServingSetup&) = delete;
+  ServingSetup& operator=(const ServingSetup&) = delete;
+
+  // Steps 1-5; false after printing why. With `need_chain` a missing
+  // chain is an error rather than a cold start.
+  bool Open(bool need_chain) {
+    AttachStateTierFromArgs();
+    service_.StartStateSweeper();
+    if (journal_path_.empty()) return true;
+
+    TuningService::RecoveryOptions recovery;
+    recovery.lazy = service_.state_tier_options().lazy_recovery;
+    auto report =
+        service_.RecoverFromCheckpoint(journal_path_, plans_, recovery);
+    if (report.ok()) {
+      PrintJournalStatus(journal_path_, report->journal_status);
+      std::printf("checkpoint seq %llu; replayed tail of %zu records across "
+                  "%zu sealed segments + live journal\n",
+                  static_cast<unsigned long long>(report->checkpoint_seq),
+                  report->tail_records, report->segments_replayed);
+      std::printf("recovered %zu signatures, %zu observations (%zu dropped, "
+                  "%zu unknown signatures)\n",
+                  report->signatures_restored, report->observations_replayed,
+                  report->observations_dropped, report->unknown_signatures);
+    } else if (report.status().code() != StatusCode::kNotFound) {
+      std::fprintf(stderr, "recovery failed: %s\n",
+                   report.status().ToString().c_str());
+      return false;
+    } else if (need_chain) {
+      std::fprintf(stderr, "no journal at %s\n", journal_path_.c_str());
+      return false;
+    }
+
+    auto opened = ObservationJournal::Open(journal_path_);
+    if (!opened.ok()) {
+      std::fprintf(stderr, "cannot open journal: %s\n",
+                   opened.status().ToString().c_str());
+      return false;
+    }
+    journal_ = std::move(*opened);
+    if (Status st = journal_.StartGroupCommit({}); !st.ok()) {
+      std::fprintf(stderr, "cannot start group commit: %s\n",
+                   st.ToString().c_str());
+      return false;
+    }
+    service_.AttachJournal(&journal_);
+    // The next recovery would drop records appended behind a damaged tail
+    // along with it: compact once first, which seals the live file and
+    // keeps its valid prefix.
+    if (report.ok() && !report->live_journal_clean) {
+      auto compacted = service_.Checkpoint();
+      if (!compacted.ok()) {
+        std::fprintf(stderr, "cannot compact the damaged journal: %s\n",
+                     compacted.status().ToString().c_str());
+        return false;
+      }
+      std::printf("compacted the damaged journal (%zu torn records "
+                  "dropped)\n",
+                  compacted->records_dropped);
+    }
+
+    if (checkpoint_interval_ > 0) {
+      // Online compaction: the journal's rotation barrier lets it run
+      // concurrently with live group-commit appends.
+      compacting_.store(true, std::memory_order_relaxed);
+      compactor_ = std::thread([this] {
+        uint64_t last = 0;
+        while (compacting_.load(std::memory_order_relaxed)) {
+          const uint64_t accepted = service_.telemetry_stats().accepted.load(
+              std::memory_order_relaxed);
+          if (accepted - last >= static_cast<uint64_t>(checkpoint_interval_)) {
+            if (service_.Checkpoint().ok()) {
+              checkpoints_.fetch_add(1, std::memory_order_relaxed);
+            }
+            last = accepted;
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        }
+      });
+    }
+    return true;
+  }
+
+  // Steps 7-9, after the verb drained its traffic. Returns `exit_code`, or
+  // 1 when the journal failed.
+  int Close(int exit_code, const char* default_metrics_format) {
+    if (compactor_.joinable()) {
+      StopCompactor();
+      // One final compaction so the chain a restart replays is as short as
+      // the interval promises.
+      if (service_.Checkpoint().ok()) {
+        checkpoints_.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    // A journal that swallowed a write error must fail the run loudly, not
+    // exit 0 with silently missing records.
+    if (Status st = service_.Shutdown(); !st.ok()) {
+      std::fprintf(stderr, "journal shutdown failed: %s\n",
+                   st.ToString().c_str());
+      exit_code = 1;
+    }
+
+    const TelemetryStats& stats = service_.telemetry_stats();
+    std::printf("sanitizer: %llu accepted, %llu rejected; guardrail disabled "
+                "%zu/%zu signatures\n",
+                static_cast<unsigned long long>(
+                    stats.accepted.load(std::memory_order_relaxed)),
+                static_cast<unsigned long long>(stats.total_rejected()),
+                service_.NumDisabled(), service_.NumSignatures());
+    if (!journal_path_.empty()) {
+      // Shutdown drained the group-commit writer and detached the journal,
+      // so the writer's failures are read from the journal itself.
+      std::printf("journal closed: %s (%llu append errors)\n",
+                  journal_path_.c_str(),
+                  static_cast<unsigned long long>(
+                      service_.journal_errors() +
+                      journal_.async_write_errors()));
+      if (checkpoint_interval_ > 0) {
+        std::printf("journal checkpoints: %llu (every %d accepted "
+                    "observations)\n",
+                    static_cast<unsigned long long>(
+                        checkpoints_.load(std::memory_order_relaxed)),
+                    checkpoint_interval_);
+      }
+    }
+    if (store_) {
+      const TierStats tier = service_.StateTierStats();
+      std::printf("state tier: %zu resident (%zu bytes of %llu budget), "
+                  "%zu cold; %llu evictions, %llu fault-ins\n",
+                  tier.resident_signatures, tier.resident_bytes,
+                  static_cast<unsigned long long>(
+                      service_.shared_budget_bytes()),
+                  tier.cold_signatures,
+                  static_cast<unsigned long long>(tier.evictions),
+                  static_cast<unsigned long long>(tier.faultins));
+    }
+
+    const std::string format =
+        args_.Get("metrics-format", default_metrics_format);
+    if (format != "off") {
+      const common::MetricsSnapshot scrape = service_.Metrics();
+      std::printf("\n# --- metrics scrape at exit ---\n");
+      if (format == "json") {
+        std::printf("%s\n", scrape.ToJson().c_str());
+      } else {
+        std::printf("%s", scrape.ToPrometheusText().c_str());
+      }
+    }
+    return exit_code;
+  }
+
+  TuningService& service() { return service_; }
+
+ private:
+  // --memory-budget is the one process-wide budget, split between resident
+  // query state and observation history by --state-budget-fraction;
+  // --idle-ttl plus --sweep-interval-ms drive idle eviction;
+  // --compress=false stores cold artifacts and checkpoint deltas raw;
+  // --lazy-recovery=true restores signatures as cold pointers that fault in
+  // on first touch. A cold store under --state-dir is opened only when
+  // something can be evicted (a budget or an idle TTL).
+  void AttachStateTierFromArgs() {
+    for (const sparksim::QueryPlan& plan : plans_) {
+      plan_index_[plan.Signature()] = &plan;
+    }
+    StateTierOptions tier;
+    tier.shared_budget_bytes =
+        std::strtoull(args_.Get("memory-budget", "0").c_str(), nullptr, 10);
+    tier.state_budget_fraction = args_.GetDouble(
+        "state-budget-fraction", StateTierOptions().state_budget_fraction);
+    tier.observation_window =
+        static_cast<size_t>(args_.GetInt("obs-window", 0));
+    tier.idle_ttl_ticks = static_cast<uint64_t>(args_.GetInt("idle-ttl", 0));
+    tier.sweep_interval_ms = args_.GetInt("sweep-interval-ms", 1000);
+    tier.compress = args_.Get("compress", "true") != "false";
+    tier.lazy_recovery = args_.Get("lazy-recovery", "") == "true";
+    tier.plan_resolver = [this](uint64_t signature) {
+      auto it = plan_index_.find(signature);
+      return it == plan_index_.end() ? nullptr : it->second;
+    };
+    if (tier.shared_budget_bytes > 0 || tier.idle_ttl_ticks > 0) {
+      store_.emplace(args_.Get("state-dir", "rockhopper-state"));
+    }
+    service_.AttachStateTier(store_ ? &*store_ : nullptr, std::move(tier));
+  }
+
+  void StopCompactor() {
+    compacting_.store(false, std::memory_order_relaxed);
+    if (compactor_.joinable()) compactor_.join();
+  }
+
+  const Args& args_;
+  const std::vector<sparksim::QueryPlan>& plans_;
+  const sparksim::ConfigSpace space_;  // the service keeps a reference
+  const std::string journal_path_;
+  const int checkpoint_interval_;
+  // Declared before the service, which points into all three: the plan
+  // index its resolver reads, the cold store evictions spill to, and the
+  // journal.
+  std::map<uint64_t, const sparksim::QueryPlan*> plan_index_;
+  std::optional<ModelStore> store_;
+  ObservationJournal journal_;
+  TuningService service_;
+  std::atomic<bool> compacting_{false};
+  std::atomic<uint64_t> checkpoints_{0};
+  std::thread compactor_;
+};
 
 int RunFlight(const Args& args) {
   const std::string out_dir = args.Get("out", "rockhopper-out");
@@ -188,7 +438,7 @@ int RunFlight(const Args& args) {
   FlightingPipeline pipeline(&sim, space);
 
   FlightingConfig config;
-  config.suite = SuiteFromName(args.Get("suite", "tpcds"));
+  config.suite = SuiteArg(args, "tpcds");
   config.configs_per_query = args.GetInt("configs", 8);
   config.runs_per_config = args.GetInt("runs", 1);
   config.config_generation = args.Get("generation", "Random");
@@ -259,19 +509,18 @@ int RunTune(const Args& args) {
   sim_options.seed = static_cast<uint64_t>(args.GetInt("seed", 23));
   sparksim::SparkSimulator sim(sim_options);
 
-  TuningServiceOptions service_options;
-  TuningService service(space, baseline, service_options, sim_options.seed);
-
-  const FlightingConfig::Suite suite = SuiteFromName(args.Get("suite", "tpch"));
+  const std::vector<sparksim::QueryPlan> plans = SuitePlans(args, "tpch");
+  ServingSetup setup(args, plans, baseline, sim_options.seed);
+  if (!setup.Open(/*need_chain=*/false)) return 1;
+  TuningService& service = setup.service();
   const int iters = args.GetInt("iters", 40);
-  const int count = SuiteSize(suite);
-  std::printf("tuning %d queries x %d iterations (FL=%.2f SL=%.2f)\n\n",
-              count, iters, sim_options.noise.fluctuation_level,
+  std::printf("tuning %zu queries x %d iterations (FL=%.2f SL=%.2f)\n\n",
+              plans.size(), iters, sim_options.noise.fluctuation_level,
               sim_options.noise.spike_level);
 
   double default_total = 0.0, tuned_total = 0.0;
-  for (int q = 1; q <= count; ++q) {
-    const sparksim::QueryPlan plan = FlightingPipeline::PlanFor(suite, q);
+  for (size_t q = 0; q < plans.size(); ++q) {
+    const sparksim::QueryPlan& plan = plans[q];
     const double default_sec = sim.cost_model().ExecutionSeconds(
         plan, sparksim::EffectiveConfig::FromQueryConfig(space.Defaults()),
         1.0);
@@ -290,8 +539,8 @@ int RunTune(const Args& args) {
     tail /= tail_n;
     default_total += default_sec;
     tuned_total += tail;
-    std::printf("q%-3d  %8.2f s -> %8.2f s  (%+6.1f%%)%s\n", q, default_sec,
-                tail, 100.0 * (default_sec - tail) / default_sec,
+    std::printf("q%-3zu  %8.2f s -> %8.2f s  (%+6.1f%%)%s\n", q + 1,
+                default_sec, tail, 100.0 * (default_sec - tail) / default_sec,
                 service.IsTuningEnabled(plan.Signature()) ? ""
                                                           : "  [guardrail]");
   }
@@ -300,40 +549,26 @@ int RunTune(const Args& args) {
               default_total, tuned_total,
               100.0 * (default_total - tuned_total) / default_total,
               service.NumDisabled(), service.NumSignatures());
-
-  const std::string events = args.Get("events", "");
-  if (!events.empty()) {
-    if (auto st = ExportObservations(space, service.observations(), events);
-        !st.ok()) {
-      std::fprintf(stderr, "event export failed: %s\n",
-                   st.ToString().c_str());
-      return 1;
-    }
-    std::printf("event log written to %s\n", events.c_str());
-  }
-  return 0;
+  return setup.Close(0, "off");
 }
 
 int RunReport(const Args& args) {
-  const std::string events = args.Get("events", "");
-  if (events.empty()) {
-    std::fprintf(stderr, "report requires --events=FILE\n");
+  const std::string journal_path = args.Get("journal", "");
+  if (journal_path.empty()) {
+    std::fprintf(stderr, "report requires --journal=FILE\n");
     return 1;
   }
+  auto chain = RecoverJournalChain(journal_path);
+  if (!chain.ok()) {
+    std::fprintf(stderr, "cannot read journal: %s\n",
+                 chain.status().ToString().c_str());
+    return 1;
+  }
+  PrintJournalStatus(journal_path, chain->tail_status);
   const sparksim::ConfigSpace space = sparksim::QueryLevelSpace();
-  auto imported = ImportObservations(space, events);
-  if (!imported.ok()) {
-    std::fprintf(stderr, "cannot load events: %s\n",
-                 imported.status().ToString().c_str());
-    return 1;
-  }
-  if (imported->skipped_rows > 0) {
-    std::printf("skipped %zu corrupt rows (non-finite/non-positive values)\n",
-                imported->skipped_rows);
-  }
-  for (uint64_t signature : imported->store.Signatures()) {
+  for (uint64_t signature : chain->store.Signatures()) {
     TuningMonitor monitor(&space);
-    for (const Observation& obs : imported->store.History(signature)) {
+    for (const Observation& obs : chain->store.History(signature)) {
       MonitorRecord record;
       record.iteration = obs.iteration;
       record.config = obs.config;
@@ -349,338 +584,17 @@ int RunReport(const Args& args) {
   return 0;
 }
 
-// One chaos run's outcome plus any crash-safety invariant violations.
-struct ChaosOutcome {
-  size_t failures = 0, dropped = 0, duplicated = 0, reordered = 0,
-         corrupted = 0;
-  uint64_t accepted = 0;
-  uint64_t journal_errors = 0;
-  size_t disabled = 0, signatures = 0;
-  std::vector<std::string> violations;
-};
-
-// Drives the full failure pipeline at one seed: the simulator injects job
-// faults, the delivery loop below injects telemetry faults (drop / duplicate
-// / reorder / corrupt), and the service sanitizes, imputes, falls back, and
-// journals. With a journal attached the run shuts down through the
-// Status-checked Sync/Close path and then verifies the crash-safety ledger:
-// journal appends + append errors == accepted observations, a clean tail on
-// recovery, and a recovered service whose guardrail verdicts match the live
-// one.
-ChaosOutcome RunChaosSeed(const Args& args, uint64_t seed,
-                          const std::string& journal_path, bool verbose) {
-  ChaosOutcome out;
-  const sparksim::ConfigSpace space = sparksim::QueryLevelSpace();
-  sparksim::SparkSimulator::Options sim_options;
-  sim_options.noise = sparksim::NoiseParams{args.GetDouble("fl", 0.3),
-                                            args.GetDouble("sl", 0.3)};
-  sim_options.faults = sparksim::FaultParams::Production();
-  sim_options.seed = seed;
-  sparksim::SparkSimulator sim(sim_options);
-
-  TuningServiceOptions service_options;
-  TuningService service(space, nullptr, service_options, seed);
-
-  ObservationJournal journal;
-  const bool journaled = !journal_path.empty();
-  // The journal opens in append mode, so a pre-existing file contributes
-  // records this run never ingested. Baseline them: the accounting check
-  // below compares the *delta*, and the twin-recovery parity check only
-  // holds when the twin replays exactly this run's history.
-  uint64_t baseline_records = 0;
-  if (journaled) {
-    if (auto prior = RecoverJournalChain(journal_path); prior.ok()) {
-      baseline_records = prior->checkpoint_records + prior->tail_records;
-    }
-    auto opened = ObservationJournal::Open(journal_path);
-    if (!opened.ok()) {
-      out.violations.push_back("cannot open journal: " +
-                               opened.status().ToString());
-      return out;
-    }
-    journal = std::move(*opened);
-    service.AttachJournal(&journal);
-  }
-
-  const FlightingConfig::Suite suite = SuiteFromName(args.Get("suite", "tpch"));
-  const int iters = args.GetInt("iters", 60);
-  const int count = SuiteSize(suite);
-  if (verbose) {
-    std::printf("chaos-tuning %d queries x %d iterations under injected "
-                "faults\n\n",
-                count, iters);
-  }
-
-  std::vector<sparksim::QueryPlan> plans;
-  uint64_t next_event_id = 1;
-  for (int q = 1; q <= count; ++q) {
-    const sparksim::QueryPlan plan = FlightingPipeline::PlanFor(suite, q);
-    plans.push_back(plan);
-    // Reordered events park here and deliver after the next execution.
-    std::deque<QueryEndEvent> delayed;
-    for (int run = 0; run < iters; ++run) {
-      const sparksim::ConfigVector config =
-          service.OnQueryStart(plan, plan.LeafInputBytes(1.0));
-      const sparksim::ExecutionResult result =
-          sim.ExecuteQuery(plan, config, 1.0);
-      if (result.failed) ++out.failures;
-
-      QueryEndEvent event;
-      event.event_id = next_event_id++;
-      event.config = config;
-      event.data_size = result.input_bytes;
-      event.runtime = result.runtime_seconds;
-      event.failed = result.failed;
-      event.failure = result.failure;
-
-      const sparksim::TelemetryFault fault =
-          sim.fault_model().DrawTelemetryFault();
-      if (fault.corruption != sparksim::TelemetryFault::Corruption::kNone) {
-        event.runtime = sparksim::FaultModel::CorruptRuntime(event.runtime,
-                                                             fault.corruption);
-        ++out.corrupted;
-      }
-      if (fault.drop) {
-        ++out.dropped;
-      } else if (fault.reorder) {
-        ++out.reordered;
-        delayed.push_back(event);
-      } else {
-        service.OnQueryEnd(plan, event);
-        if (fault.duplicate) {
-          ++out.duplicated;
-          service.OnQueryEnd(plan, event);
-        }
-        while (!delayed.empty()) {
-          service.OnQueryEnd(plan, delayed.front());
-          delayed.pop_front();
-        }
-      }
-    }
-    while (!delayed.empty()) {
-      service.OnQueryEnd(plan, delayed.front());
-      delayed.pop_front();
-    }
-    if (verbose) {
-      if (auto explanation = service.ExplainQuery(plan.Signature());
-          explanation.ok() && q <= 3) {
-        std::printf("q%d: %s\n", q, explanation->c_str());
-      }
-    }
-  }
-
-  const TelemetryStats& stats = service.telemetry_stats();
-  out.accepted = stats.accepted;
-  out.journal_errors = service.journal_errors();
-  out.disabled = service.NumDisabled();
-  out.signatures = service.NumSignatures();
-  if (verbose) {
-    std::printf("\ninjected: %zu job failures, %zu dropped, %zu duplicated, "
-                "%zu reordered, %zu corrupted events\n",
-                out.failures, out.dropped, out.duplicated, out.reordered,
-                out.corrupted);
-    std::printf("sanitizer: %llu accepted, %llu rejected (%llu non-finite, "
-                "%llu non-positive, %llu duplicate), %llu failures imputed\n",
-                static_cast<unsigned long long>(stats.accepted),
-                static_cast<unsigned long long>(stats.total_rejected()),
-                static_cast<unsigned long long>(stats.rejected_nonfinite),
-                static_cast<unsigned long long>(stats.rejected_nonpositive),
-                static_cast<unsigned long long>(stats.rejected_duplicate),
-                static_cast<unsigned long long>(stats.failures_ingested));
-    std::printf("guardrail disabled %zu/%zu signatures\n", service.NumDisabled(),
-                service.NumSignatures());
-  }
-
-  if (!journaled) return out;
-  if (Status st = service.Shutdown(); !st.ok()) {
-    out.violations.push_back("journal shutdown failed: " + st.ToString());
-  }
-  if (verbose) {
-    std::printf("journal written to %s (%llu append errors)\n",
-                journal_path.c_str(),
-                static_cast<unsigned long long>(out.journal_errors));
-  }
-  auto recovered = RecoverJournalChain(journal_path);
-  if (!recovered.ok()) {
-    out.violations.push_back("journal recovery failed: " +
-                             recovered.status().ToString());
-    return out;
-  }
-  if (!recovered->tail_status.ok()) {
-    out.violations.push_back("journal tail unclean after clean shutdown: " +
-                             recovered->tail_status.ToString());
-  }
-  const uint64_t records =
-      recovered->checkpoint_records + recovered->tail_records;
-  if (records - baseline_records + out.journal_errors != out.accepted) {
-    out.violations.push_back(
-        "journal accounting broken: recovered " +
-        std::to_string(records - baseline_records) + " + errors " +
-        std::to_string(out.journal_errors) + " != accepted " +
-        std::to_string(out.accepted));
-  }
-  if (baseline_records > 0) return out;
-  TuningService twin(space, nullptr, service_options, seed);
-  if (auto report = twin.RecoverFromCheckpoint(journal_path, plans);
-      !report.ok()) {
-    out.violations.push_back("service recovery failed: " +
-                             report.status().ToString());
-  } else if (twin.NumDisabled() != out.disabled) {
-    out.violations.push_back(
-        "recovered guardrail verdicts diverge: live disabled " +
-        std::to_string(out.disabled) + ", recovered " +
-        std::to_string(twin.NumDisabled()));
-  }
-  return out;
-}
-
-int RunChaos(const Args& args) {
-  const std::string seeds_flag = args.Get("seeds", "");
-  if (seeds_flag.empty()) {
-    const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 29));
-    const ChaosOutcome out =
-        RunChaosSeed(args, seed, args.Get("journal", ""), /*verbose=*/true);
-    for (const std::string& violation : out.violations) {
-      std::fprintf(stderr, "violation: %s\n", violation.c_str());
-    }
-    return out.violations.empty() ? 0 : 1;
-  }
-
-  uint64_t lo = 0, hi = 0;
-  if (!ParseSeedRange(seeds_flag, &lo, &hi)) {
-    std::fprintf(stderr, "chaos: bad --seeds (want A..B): %s\n",
-                 seeds_flag.c_str());
-    return 2;
-  }
-  const std::string journal_base =
-      args.Get("journal", (std::filesystem::temp_directory_path() /
-                           "rockhopper-chaos.journal")
-                              .string());
-  std::printf("chaos sweep: seeds %llu..%llu\n",
-              static_cast<unsigned long long>(lo),
-              static_cast<unsigned long long>(hi));
-  for (uint64_t seed = lo; seed <= hi; ++seed) {
-    const std::string journal_path =
-        journal_base + "." + std::to_string(seed);
-    std::error_code ec;
-    std::filesystem::remove(journal_path, ec);  // stale run
-    const ChaosOutcome out =
-        RunChaosSeed(args, seed, journal_path, /*verbose=*/false);
-    std::printf("seed %llu: %s accepted=%llu errors=%llu disabled=%zu/%zu\n",
-                static_cast<unsigned long long>(seed),
-                out.violations.empty() ? "PASS" : "FAIL",
-                static_cast<unsigned long long>(out.accepted),
-                static_cast<unsigned long long>(out.journal_errors),
-                out.disabled, out.signatures);
-    std::filesystem::remove(journal_path, ec);
-    if (!out.violations.empty()) {
-      for (const std::string& violation : out.violations) {
-        std::fprintf(stderr, "  violation: %s\n", violation.c_str());
-      }
-      std::fprintf(stderr,
-                   "reproduce with: rockhopper chaos --seed=%llu "
-                   "--journal=FILE\n",
-                   static_cast<unsigned long long>(seed));
-      return 1;
-    }
-  }
-  return 0;
-}
-
-// The state tier the shared CLI flags describe, and what it points into:
-// the plan index its resolver reads and the cold store evictions spill to.
-// Must outlive the service it is attached to.
-struct CliStateTier {
-  std::map<uint64_t, const sparksim::QueryPlan*> plan_index;
-  std::optional<ModelStore> store;
-};
-
-// Attaches the tier every state-holding verb (recover, serve, serve
-// --listen) configures the same way: --memory-budget is the one
-// process-wide budget, split between resident query state and observation
-// history by --state-budget-fraction; --idle-ttl plus --sweep-interval-ms
-// drive idle eviction; --compress=false stores cold artifacts and
-// checkpoint deltas raw; --lazy-recovery=true restores signatures as cold
-// pointers that fault in on first touch. A cold store under --state-dir is
-// opened only when something can be evicted (a budget or an idle TTL).
-void AttachStateTierFromArgs(const Args& args,
-                             const std::vector<sparksim::QueryPlan>& plans,
-                             CliStateTier* cli_tier, TuningService* service) {
-  for (const sparksim::QueryPlan& plan : plans) {
-    cli_tier->plan_index[plan.Signature()] = &plan;
-  }
-  StateTierOptions tier;
-  tier.shared_budget_bytes =
-      std::strtoull(args.Get("memory-budget", "0").c_str(), nullptr, 10);
-  tier.state_budget_fraction = args.GetDouble(
-      "state-budget-fraction", StateTierOptions().state_budget_fraction);
-  tier.observation_window =
-      static_cast<size_t>(args.GetInt("obs-window", 0));
-  tier.idle_ttl_ticks = static_cast<uint64_t>(args.GetInt("idle-ttl", 0));
-  tier.sweep_interval_ms = args.GetInt("sweep-interval-ms", 1000);
-  tier.compress = args.Get("compress", "true") != "false";
-  tier.lazy_recovery = args.Get("lazy-recovery", "") == "true";
-  tier.plan_resolver = [index = &cli_tier->plan_index](
-                           uint64_t signature) -> const sparksim::QueryPlan* {
-    auto it = index->find(signature);
-    return it == index->end() ? nullptr : it->second;
-  };
-  if (tier.shared_budget_bytes > 0 || tier.idle_ttl_ticks > 0) {
-    cli_tier->store.emplace(args.Get("state-dir", "rockhopper-state"));
-  }
-  service->AttachStateTier(cli_tier->store ? &*cli_tier->store : nullptr,
-                           std::move(tier));
-}
-
+// The serving setup with no traffic: recovery, then what survived.
 int RunRecover(const Args& args) {
-  const std::string journal_path = args.Get("journal", "");
-  if (journal_path.empty()) {
+  if (args.Get("journal", "").empty()) {
     std::fprintf(stderr, "recover requires --journal=FILE\n");
     return 1;
   }
-  const sparksim::ConfigSpace space = sparksim::QueryLevelSpace();
-  const FlightingConfig::Suite suite = SuiteFromName(args.Get("suite", "tpch"));
-  std::vector<sparksim::QueryPlan> plans;
-  for (int q = 1; q <= SuiteSize(suite); ++q) {
-    plans.push_back(FlightingPipeline::PlanFor(suite, q));
-  }
-  CliStateTier tier;  // outlives the service that points into it
-  TuningService service(space, nullptr, {},
-                        static_cast<uint64_t>(args.GetInt("seed", 31)));
-  AttachStateTierFromArgs(args, plans, &tier, &service);
-  TuningService::RecoveryOptions recovery;
-  recovery.lazy = service.state_tier_options().lazy_recovery;
-  auto report = service.RecoverFromCheckpoint(journal_path, plans, recovery);
-  if (!report.ok()) {
-    if (report.status().code() == StatusCode::kNotFound) {
-      std::fprintf(stderr, "no journal at %s\n", journal_path.c_str());
-    } else {
-      std::fprintf(stderr, "recovery failed: %s\n",
-                   report.status().ToString().c_str());
-    }
-    return 1;
-  }
-  // The tail status distinguishes a clean shutdown from recovered-around
-  // damage: kDataLoss means bytes were dropped and re-running recover will
-  // not bring them back.
-  if (report->journal_status.ok()) {
-    std::printf("journal %s: clean\n", journal_path.c_str());
-  } else if (report->journal_status.code() == StatusCode::kDataLoss) {
-    std::printf("journal %s: recovered around damaged tail (%s)\n",
-                journal_path.c_str(),
-                report->journal_status.ToString().c_str());
-  } else {
-    std::printf("journal %s: %s\n", journal_path.c_str(),
-                report->journal_status.ToString().c_str());
-  }
-  std::printf("checkpoint seq %llu; replayed tail of %zu records across "
-              "%zu sealed segments + live journal\n",
-              static_cast<unsigned long long>(report->checkpoint_seq),
-              report->tail_records, report->segments_replayed);
-  std::printf("recovered %zu signatures, %zu observations (%zu dropped, "
-              "%zu unknown signatures)\n",
-              report->signatures_restored, report->observations_replayed,
-              report->observations_dropped, report->unknown_signatures);
+  const std::vector<sparksim::QueryPlan> plans = SuitePlans(args, "tpch");
+  ServingSetup setup(args, plans, nullptr,
+                     static_cast<uint64_t>(args.GetInt("seed", 31)));
+  if (!setup.Open(/*need_chain=*/true)) return 1;
+  const TuningService& service = setup.service();
   for (const sparksim::QueryPlan& plan : plans) {
     const size_t n = service.IterationCount(plan.Signature());
     if (n == 0) continue;
@@ -689,7 +603,7 @@ int RunRecover(const Args& args) {
                 service.IsTuningEnabled(plan.Signature()) ? "enabled"
                                                           : "disabled");
   }
-  return 0;
+  return setup.Close(0, "off");
 }
 
 // Operator debugging of bad warm starts: recover a service from the journal
@@ -724,11 +638,7 @@ int RunNeighbors(const Args& args) {
   }
 
   const sparksim::ConfigSpace space = sparksim::QueryLevelSpace();
-  const FlightingConfig::Suite suite = SuiteFromName(args.Get("suite", "tpch"));
-  std::vector<sparksim::QueryPlan> plans;
-  for (int q = 1; q <= SuiteSize(suite); ++q) {
-    plans.push_back(FlightingPipeline::PlanFor(suite, q));
-  }
+  const std::vector<sparksim::QueryPlan> plans = SuitePlans(args, "tpch");
   TuningServiceOptions options;
   options.transfer.enabled = true;
   TuningService service(space, nullptr, options,
@@ -837,11 +747,7 @@ int RunCheckpoint(const Args& args) {
   return 0;
 }
 
-// Multi-tenant load harness: K threads drive the suite's plans through one
-// shared service. With --journal, appends go through the journal's
-// group-commit path (batched background writer) unless --sync-journal.
-// --memory-budget arms the tiered state layer; --checkpoint-interval runs a
-// background compactor every N accepted observations.
+
 // SIGINT/SIGTERM → drain-and-exit for `serve --listen`. RequestStop is one
 // atomic store, so the handler is async-signal-safe.
 std::atomic<net::Server*> g_listen_server{nullptr};
@@ -874,43 +780,13 @@ bool ParseListen(const std::string& value, std::string* host,
   return true;
 }
 
-// The network deployment shape: the tuning service behind the wire-protocol
+// serve --listen's traffic: the tuning service behind the wire-protocol
 // front end, per-tenant token buckets + the global admission controller in
-// front of ingestion, and a drain-first shutdown so the exit-report counters
-// cover every request the server acked.
-int RunServeListen(const Args& args) {
-  const sparksim::ConfigSpace space = sparksim::QueryLevelSpace();
-  const FlightingConfig::Suite suite =
-      SuiteFromName(args.Get("suite", "tpcds"));
-  std::vector<sparksim::QueryPlan> plans;
-  for (int q = 1; q <= SuiteSize(suite); ++q) {
-    plans.push_back(FlightingPipeline::PlanFor(suite, q));
-  }
-
-  const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 37));
-  CliStateTier tier;  // outlives the service that points into it
-  TuningService service(space, nullptr, TuningServiceOptions{}, seed);
-  AttachStateTierFromArgs(args, plans, &tier, &service);
-  // The long-running server owns a sweeper thread: idle-TTL eviction and
-  // observation-budget enforcement tick without a foreground caller.
-  service.StartStateSweeper();
-  const uint64_t memory_budget = service.shared_budget_bytes();
-
-  ObservationJournal journal;
-  const std::string journal_path = args.Get("journal", "");
-  const bool group_commit = args.Get("sync-journal", "") != "true";
-  if (!journal_path.empty()) {
-    auto opened = ObservationJournal::Open(journal_path);
-    if (!opened.ok()) {
-      std::fprintf(stderr, "cannot open journal: %s\n",
-                   opened.status().ToString().c_str());
-      return 1;
-    }
-    journal = std::move(*opened);
-    if (group_commit) journal.StartGroupCommit({});
-    service.AttachJournal(&journal);
-  }
-
+// front of ingestion, and a drain-first stop so the exit report covers
+// every request the server acked. Returns the run's exit code.
+int DriveListen(const Args& args,
+                const std::vector<sparksim::QueryPlan>& plans,
+                net::ServerOptions server_options, TuningService* service) {
   net::PlanRegistry registry;
   for (const sparksim::QueryPlan& plan : plans) registry.Register(&plan);
 
@@ -922,18 +798,12 @@ int RunServeListen(const Args& args) {
       args.GetDouble("flush-p99-target", 0.050);
   core_options.admission.queue_depth_target = args.GetDouble(
       "queue-target", net::AdmissionController::Options().queue_depth_target);
-  core_options.tiering_budget_bytes = memory_budget;
+  core_options.tiering_budget_bytes = service->shared_budget_bytes();
   core_options.admin_token = args.Get("admin-token", "");
   core_options.max_batch =
       static_cast<size_t>(std::max(1, args.GetInt("net-batch", 64)));
-  net::ServerCore core(&service, &registry, core_options);
+  net::ServerCore core(service, &registry, core_options);
 
-  net::ServerOptions server_options;
-  if (!ParseListen(args.Get("listen", ""), &server_options.host,
-                   &server_options.port)) {
-    std::fprintf(stderr, "malformed --listen (want PORT or HOST:PORT)\n");
-    return 2;
-  }
   server_options.io_threads = args.GetInt("io-threads", 1);
   server_options.use_epoll = args.Get("poll", "") != "true";
   net::Server server(&core, server_options);
@@ -963,24 +833,14 @@ int RunServeListen(const Args& args) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
 
-  // Drain before the final scrape: staged observe batches flush through the
+  // Drain before the report: staged observe batches flush through the
   // service and buffered responses are written, so every request the server
   // acked is inside the counters printed below.
   server.Stop(args.GetInt("drain-ms", 2000));
   g_listen_server.store(nullptr, std::memory_order_release);
 
-  int exit_code = 0;
-  if (!journal_path.empty()) {
-    if (Status st = service.Shutdown(); !st.ok()) {
-      std::fprintf(stderr, "journal shutdown failed: %s\n",
-                   st.ToString().c_str());
-      exit_code = 1;
-    }
-  }
-  const uint64_t journal_errors = service.journal_errors();
-
   const ServiceMetrics& m = ServiceMetrics::Get();
-  const TelemetryStats& stats = service.telemetry_stats();
+  const TelemetryStats& stats = service->telemetry_stats();
   std::printf("\nconnections: %llu accepted; rx %llu bytes, tx %llu bytes\n",
               static_cast<unsigned long long>(
                   m.net_connections_accepted->Value()),
@@ -1020,32 +880,55 @@ int RunServeListen(const Args& args) {
       static_cast<unsigned long long>(m.queries_ended->Value());
   const unsigned long long verdicts = static_cast<unsigned long long>(
       stats.accepted.load(std::memory_order_relaxed) + stats.total_rejected());
-  std::printf("service: %llu deliveries -> %llu verdicts (%llu accepted, "
-              "%llu rejected)%s\n",
-              delivered, verdicts,
-              static_cast<unsigned long long>(
-                  stats.accepted.load(std::memory_order_relaxed)),
-              static_cast<unsigned long long>(stats.total_rejected()),
-              delivered == verdicts ? "" : "  [MISMATCH]");
-  if (!journal_path.empty()) {
-    std::printf("journal written to %s via %s (%llu append errors)\n",
-                journal_path.c_str(),
-                group_commit ? "group commit" : "synchronous appends",
-                static_cast<unsigned long long>(journal_errors));
-  }
-  if (delivered != verdicts) exit_code = 1;
+  std::printf("service: %llu deliveries -> %llu verdicts%s\n", delivered,
+              verdicts, delivered == verdicts ? "" : "  [MISMATCH]");
+  return delivered == verdicts ? 0 : 1;
+}
 
-  const std::string metrics_format = args.Get("metrics-format", "prom");
-  if (metrics_format != "off") {
-    const common::MetricsSnapshot scrape = service.Metrics();
-    std::printf("\n# --- metrics scrape at exit ---\n");
-    if (metrics_format == "json") {
-      std::printf("%s\n", scrape.ToJson().c_str());
-    } else {
-      std::printf("%s", scrape.ToPrometheusText().c_str());
-    }
+// One shared service driven by K tenant threads, or by the wire protocol
+// with --listen; both run through the serving setup.
+int RunServe(const Args& args) {
+  const bool listen = args.flags.count("listen") != 0;
+  net::ServerOptions server_options;
+  if (listen && !ParseListen(args.Get("listen", ""), &server_options.host,
+                             &server_options.port)) {
+    std::fprintf(stderr, "malformed --listen (want PORT or HOST:PORT)\n");
+    return 2;
   }
-  return exit_code;
+  const std::vector<sparksim::QueryPlan> plans = SuitePlans(args, "tpcds");
+  const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 37));
+  ServingSetup setup(args, plans, nullptr, seed);
+  if (!setup.Open(/*need_chain=*/false)) return 1;
+  if (listen) {
+    return setup.Close(
+        DriveListen(args, plans, server_options, &setup.service()), "prom");
+  }
+
+  tools::ConcurrentDriverOptions driver_options;
+  driver_options.threads = args.GetInt("threads", 4);
+  driver_options.iterations = args.GetInt("iters", 20);
+  driver_options.chaos = args.Get("chaos", "") == "true";
+  driver_options.execution_latency_us = args.GetInt("latency-us", 0);
+  driver_options.fluctuation_level = args.GetDouble("fl", 0.3);
+  driver_options.spike_level = args.GetDouble("sl", 0.3);
+  driver_options.seed = seed;
+
+  std::printf("serving %zu signatures x %d iterations from %d tenant "
+              "threads%s\n\n",
+              plans.size(), driver_options.iterations, driver_options.threads,
+              driver_options.chaos ? " under injected faults" : "");
+  tools::ConcurrentDriver driver(&setup.service(), driver_options);
+  const tools::ConcurrentDriverReport report = driver.Run(plans);
+  std::printf("served %zu queries in %.2f s: %.0f queries/s\n", report.queries,
+              report.wall_seconds, report.queries_per_second);
+  if (driver_options.chaos) {
+    std::printf("injected: %zu job failures, %zu dropped, %zu duplicated, "
+                "%zu reordered, %zu corrupted events\n",
+                report.job_failures, report.dropped_events,
+                report.duplicated_events, report.reordered_events,
+                report.corrupted_events);
+  }
+  return setup.Close(0, "prom");
 }
 
 // Runtime control plane: one authenticated Admin frame against a running
@@ -1109,11 +992,7 @@ int RunAdmin(const Args& args) {
 // latency percentiles. --json emits one machine-readable line for the bench
 // harness.
 int RunLoadgen(const Args& args) {
-  const FlightingConfig::Suite suite = SuiteFromName(args.Get("suite", "tpcds"));
-  std::vector<sparksim::QueryPlan> plans;
-  for (int q = 1; q <= SuiteSize(suite); ++q) {
-    plans.push_back(FlightingPipeline::PlanFor(suite, q));
-  }
+  const std::vector<sparksim::QueryPlan> plans = SuitePlans(args, "tpcds");
   std::vector<const sparksim::QueryPlan*> plan_ptrs;
   const int plan_limit = args.GetInt("plans", 0);
   for (const sparksim::QueryPlan& plan : plans) {
@@ -1215,221 +1094,6 @@ int RunLoadgen(const Args& args) {
   return report.ok == 0 ? 1 : 0;
 }
 
-int RunServe(const Args& args) {
-  if (args.flags.count("listen") != 0) return RunServeListen(args);
-  const sparksim::ConfigSpace space = sparksim::QueryLevelSpace();
-  const FlightingConfig::Suite suite =
-      SuiteFromName(args.Get("suite", "tpcds"));
-  std::vector<sparksim::QueryPlan> plans;
-  for (int q = 1; q <= SuiteSize(suite); ++q) {
-    plans.push_back(FlightingPipeline::PlanFor(suite, q));
-  }
-
-  const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 37));
-  TuningServiceOptions service_options;
-  // A resident-bytes budget arms clock eviction into the cold store;
-  // evicted signatures fault back in on first touch.
-  CliStateTier tier;  // outlives the service that points into it
-  TuningService service(space, nullptr, service_options, seed);
-  AttachStateTierFromArgs(args, plans, &tier, &service);
-  const uint64_t memory_budget = service.shared_budget_bytes();
-
-  ObservationJournal journal;
-  const std::string journal_path = args.Get("journal", "");
-  const bool group_commit = args.Get("sync-journal", "") != "true";
-  if (!journal_path.empty()) {
-    auto opened = ObservationJournal::Open(journal_path);
-    if (!opened.ok()) {
-      std::fprintf(stderr, "cannot open journal: %s\n",
-                   opened.status().ToString().c_str());
-      return 1;
-    }
-    journal = std::move(*opened);
-    if (group_commit) journal.StartGroupCommit({});
-    service.AttachJournal(&journal);
-  }
-
-  // Background compactor: checkpoint the journal every N accepted
-  // observations, concurrently with the tenant threads — the online
-  // checkpoint shape (rotation barrier vs live group-commit appends).
-  const int checkpoint_interval = args.GetInt("checkpoint-interval", 0);
-  std::atomic<bool> serving{true};
-  std::atomic<uint64_t> checkpoints_taken{0};
-  std::thread compactor;
-  if (checkpoint_interval > 0 && !journal_path.empty()) {
-    compactor = std::thread([&] {
-      uint64_t last = 0;
-      while (serving.load(std::memory_order_relaxed)) {
-        const uint64_t accepted =
-            service.telemetry_stats().accepted.load(std::memory_order_relaxed);
-        if (accepted - last >=
-            static_cast<uint64_t>(checkpoint_interval)) {
-          if (service.Checkpoint().ok()) {
-            checkpoints_taken.fetch_add(1, std::memory_order_relaxed);
-          }
-          last = accepted;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-    });
-  }
-
-  tools::ConcurrentDriverOptions driver_options;
-  driver_options.threads = args.GetInt("threads", 4);
-  driver_options.iterations = args.GetInt("iters", 20);
-  driver_options.chaos = args.Get("chaos", "") == "true";
-  driver_options.execution_latency_us = args.GetInt("latency-us", 0);
-  driver_options.fluctuation_level = args.GetDouble("fl", 0.3);
-  driver_options.spike_level = args.GetDouble("sl", 0.3);
-  driver_options.seed = seed;
-
-  std::printf("serving %zu signatures x %d iterations from %d tenant "
-              "threads%s\n\n",
-              plans.size(), driver_options.iterations, driver_options.threads,
-              driver_options.chaos ? " under injected faults" : "");
-  tools::ConcurrentDriver driver(&service, driver_options);
-  const tools::ConcurrentDriverReport report = driver.Run(plans);
-  int exit_code = 0;
-  serving.store(false, std::memory_order_relaxed);
-  if (compactor.joinable()) {
-    compactor.join();
-    // One final compaction so the chain a restart replays is as short as
-    // the interval promises.
-    if (service.Checkpoint().ok()) {
-      checkpoints_taken.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (!journal_path.empty()) {
-    // Status-checked shutdown: a journal that swallowed a write error must
-    // fail the run loudly, not exit 0 with silently missing records.
-    if (Status st = service.Shutdown(); !st.ok()) {
-      std::fprintf(stderr, "journal shutdown failed: %s\n",
-                   st.ToString().c_str());
-      exit_code = 1;
-    }
-  }
-  // Read after Shutdown: the group-commit writer may only surface errors
-  // for in-flight batches when its final flush drains, and the exit report
-  // must account for every append the run handed it.
-  const uint64_t journal_errors = service.journal_errors();
-
-  std::printf("served %zu queries in %.2f s: %.0f queries/s\n", report.queries,
-              report.wall_seconds, report.queries_per_second);
-  if (driver_options.chaos) {
-    std::printf("injected: %zu job failures, %zu dropped, %zu duplicated, "
-                "%zu reordered, %zu corrupted events\n",
-                report.job_failures, report.dropped_events,
-                report.duplicated_events, report.reordered_events,
-                report.corrupted_events);
-  }
-  const TelemetryStats& stats = service.telemetry_stats();
-  std::printf("sanitizer: %llu accepted, %llu rejected; guardrail disabled "
-              "%zu/%zu signatures\n",
-              static_cast<unsigned long long>(
-                  stats.accepted.load(std::memory_order_relaxed)),
-              static_cast<unsigned long long>(stats.total_rejected()),
-              service.NumDisabled(), service.NumSignatures());
-  if (!journal_path.empty()) {
-    std::printf("journal written to %s via %s (%llu append errors)\n",
-                journal_path.c_str(),
-                group_commit ? "group commit" : "synchronous appends",
-                static_cast<unsigned long long>(journal_errors));
-  }
-  if (checkpoint_interval > 0 && !journal_path.empty()) {
-    std::printf("journal checkpoints: %llu (every %d accepted observations)\n",
-                static_cast<unsigned long long>(
-                    checkpoints_taken.load(std::memory_order_relaxed)),
-                checkpoint_interval);
-  }
-  if (memory_budget > 0) {
-    const TierStats tier = service.StateTierStats();
-    std::printf("state tier: %zu resident (%zu bytes of %llu budget), "
-                "%zu cold; %llu evictions, %llu fault-ins\n",
-                tier.resident_signatures, tier.resident_bytes,
-                static_cast<unsigned long long>(memory_budget),
-                tier.cold_signatures,
-                static_cast<unsigned long long>(tier.evictions),
-                static_cast<unsigned long long>(tier.faultins));
-  }
-
-  const std::string metrics_format = args.Get("metrics-format", "prom");
-  if (metrics_format != "off") {
-    const common::MetricsSnapshot scrape = service.Metrics();
-    std::printf("\n# --- metrics scrape at exit ---\n");
-    if (metrics_format == "json") {
-      std::printf("%s\n", scrape.ToJson().c_str());
-    } else {
-      std::printf("%s", scrape.ToPrometheusText().c_str());
-    }
-  }
-  return exit_code;
-}
-
-// Exercises every instrumented subsystem, then prints one scrape of the
-// process metrics registry: a chaos workload (job faults + telemetry faults,
-// so the sanitizer / failure-policy / guardrail counters move) driven from a
-// thread pool (so the pool's queue-depth / task-latency instruments report)
-// through a group-commit journal (appends, batch sizes, flush latency).
-int RunMetrics(const Args& args) {
-  const sparksim::ConfigSpace space = sparksim::QueryLevelSpace();
-  const FlightingConfig::Suite suite = SuiteFromName(args.Get("suite", "tpch"));
-  std::vector<sparksim::QueryPlan> plans;
-  for (int q = 1; q <= SuiteSize(suite); ++q) {
-    plans.push_back(FlightingPipeline::PlanFor(suite, q));
-  }
-
-  const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 41));
-  TuningService service(space, nullptr, {}, seed);
-
-  ObservationJournal journal;
-  std::string journal_path = args.Get("journal", "");
-  const bool temp_journal = journal_path.empty();
-  if (temp_journal) {
-    journal_path = (std::filesystem::temp_directory_path() /
-                    "rockhopper-metrics.journal").string();
-    std::error_code ec;
-    std::filesystem::remove(journal_path, ec);  // stale run
-  }
-  auto opened = ObservationJournal::Open(journal_path);
-  if (!opened.ok()) {
-    std::fprintf(stderr, "cannot open journal: %s\n",
-                 opened.status().ToString().c_str());
-    return 1;
-  }
-  journal = std::move(*opened);
-  journal.StartGroupCommit({});
-  service.AttachJournal(&journal);
-
-  tools::ConcurrentDriverOptions driver_options;
-  driver_options.iterations = args.GetInt("iters", 30);
-  driver_options.chaos = args.Get("chaos", "true") == "true";
-  driver_options.seed = seed;
-
-  common::ThreadPool pool(static_cast<size_t>(args.GetInt("threads", 4)));
-  pool.ParallelFor(plans.size(), [&](size_t i) {
-    tools::ConcurrentDriver::DrivePlan(&service, plans[i], driver_options);
-  });
-  pool.Shutdown();
-  journal.StopGroupCommit();
-  int exit_code = 0;
-  if (Status st = journal.Close(); !st.ok()) {
-    std::fprintf(stderr, "journal close failed: %s\n", st.ToString().c_str());
-    exit_code = 1;
-  }
-  if (temp_journal) {
-    std::error_code ec;
-    std::filesystem::remove(journal_path, ec);
-  }
-
-  const common::MetricsSnapshot scrape = service.Metrics();
-  if (args.Get("format", "prom") == "json") {
-    std::printf("%s\n", scrape.ToJson().c_str());
-  } else {
-    std::printf("%s", scrape.ToPrometheusText().c_str());
-  }
-  return exit_code;
-}
-
 // Deterministic whole-service simulation (src/sim): each seed drives the
 // multi-tenant service through a crash, recovery, and a second serving
 // phase, checking the cross-layer invariants; --seeds sweeps a range and
@@ -1499,12 +1163,10 @@ int RunReplay(const Args& args) {
     return 1;
   }
   const sparksim::ConfigSpace space = sparksim::QueryLevelSpace();
-  const FlightingConfig::Suite suite = SuiteFromName(args.Get("suite", "tpch"));
-  std::vector<sparksim::QueryPlan> plans;
+  const std::vector<sparksim::QueryPlan> plans = SuitePlans(args, "tpch");
   std::vector<uint64_t> signatures;
-  for (int q = 1; q <= SuiteSize(suite); ++q) {
-    plans.push_back(FlightingPipeline::PlanFor(suite, q));
-    signatures.push_back(plans.back().Signature());
+  for (const sparksim::QueryPlan& plan : plans) {
+    signatures.push_back(plan.Signature());
   }
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
 
@@ -1569,17 +1231,12 @@ void PrintUsage() {
       "                 --generation=Random|LHS --max-samples=N --out=DIR\n"
       "  tune    tune a suite online with the stored baseline\n"
       "          flags: --suite=tpch|tpcds --iters=N --model-dir=DIR\n"
-      "                 --fl=F --sl=F --events=FILE --seed=N\n"
-      "  report  print per-signature monitoring dashboards from an event "
-      "log\n"
-      "          flags: --events=FILE\n"
-      "  chaos   tune under injected production faults (failures + corrupt "
-      "telemetry)\n"
-      "          flags: --suite=tpch|tpcds --iters=N --fl=F --sl=F\n"
-      "                 --journal=FILE --seed=N --seeds=A..B (sweep a range;\n"
-      "                 exits non-zero with the first violating seed)\n"
+      "                 --fl=F --sl=F --journal=FILE --seed=N\n"
+      "  report  print per-signature monitoring dashboards from a journal\n"
+      "          flags: --journal=FILE\n"
       "  simulate run the deterministic whole-service simulation harness\n"
-      "          flags: --seed=N --seeds=A..B --tenants=N --events=N\n"
+      "          flags: --seed=N --seeds=A..B (sweep a range; exits non-zero\n"
+      "                 with the first violating seed) --tenants=N --events=N\n"
       "                 --crash-frac=F --no-buggify --no-chaos\n"
       "                 --scratch=DIR --trace=FILE\n"
       "  replay  replay a recorded simulation trace twice, verify identical "
@@ -1588,7 +1245,6 @@ void PrintUsage() {
       "  recover restore tuning state from the journal chain (checkpoint +\n"
       "          delta chain + sealed segments + live tail)\n"
       "          flags: --journal=FILE --suite=tpch|tpcds --seed=N\n"
-      "                 --memory-budget=BYTES --state-dir=DIR\n"
       "                 --lazy-recovery (cold pointers, fault in on touch)\n"
       "  neighbors  print a signature's k nearest registered signatures in\n"
       "          the transfer tier's embedding space, with distances and\n"
@@ -1600,10 +1256,8 @@ void PrintUsage() {
       "          flags: --journal=FILE\n"
       "  serve   drive one shared service from concurrent tenant threads\n"
       "          flags: --suite=tpcds|tpch --threads=N --iters=N --chaos\n"
-      "                 --latency-us=N --journal=FILE --sync-journal\n"
-      "                 --memory-budget=BYTES --state-dir=DIR\n"
-      "                 --checkpoint-interval=N\n"
-      "                 --fl=F --sl=F --seed=N --metrics-format=prom|json|off\n"
+      "                 --latency-us=N --fl=F --sl=F --seed=N\n"
+      "                 --metrics-format=prom|json|off\n"
       "          with --listen[=PORT|HOST:PORT] serve the binary wire\n"
       "          protocol over TCP instead (epoll event loop; Ctrl-C or\n"
       "          --duration-s=N drains and prints the exit report):\n"
@@ -1611,11 +1265,13 @@ void PrintUsage() {
       "                 --drain-ms=N --io-threads=N --poll (force poll(2))\n"
       "                 --tenant-rate=R --tenant-burst-s=S (token buckets)\n"
       "                 --flush-p99-target=S --queue-target=N (admission)\n"
-      "                 --net-batch=N --journal=FILE --memory-budget=BYTES\n"
-      "                 --admin-token=SECRET (enable the Admin verb)\n"
-      "          state-tier flags (recover and both serve modes):\n"
-      "                 --state-budget-fraction=F --obs-window=N\n"
-      "                 --idle-ttl=N --sweep-interval-ms=N --compress=false\n"
+      "                 --net-batch=N --admin-token=SECRET (Admin verb)\n"
+      "  serving flags (serve, serve --listen, tune, recover): --journal=FILE\n"
+      "          resumes from the chain, then appends through group commit;\n"
+      "                 --checkpoint-interval=N --memory-budget=BYTES\n"
+      "                 --state-dir=DIR --state-budget-fraction=F\n"
+      "                 --obs-window=N --idle-ttl=N --sweep-interval-ms=N\n"
+      "                 --compress=false --lazy-recovery\n"
       "  admin   send one authenticated runtime-control frame to a server\n"
       "          flags: --connect=HOST:PORT --token=SECRET and one of\n"
       "                 --set-tenant-rate=RATE --tenant=ID (0 = unlimited)\n"
@@ -1625,12 +1281,7 @@ void PrintUsage() {
       "                 --tenants=N --rate=R (per-tenant open-loop Poisson\n"
       "                 q/s; 0 = closed loop) --concurrency=N\n"
       "                 --noisy-rate=R (extra aggressor tenant)\n"
-      "                 --propose-fraction=F --plans=N --seed=N --json\n"
-      "  metrics exercise the instrumented pipeline, print one registry "
-      "scrape\n"
-      "          flags: --suite=tpch|tpcds --iters=N --threads=N\n"
-      "                 --chaos=true|false --journal=FILE --seed=N\n"
-      "                 --format=prom|json\n");
+      "                 --propose-fraction=F --plans=N --seed=N --json\n");
 }
 
 }  // namespace
@@ -1640,7 +1291,6 @@ int main(int argc, char** argv) {
   if (args.command == "flight") return RunFlight(args);
   if (args.command == "tune") return RunTune(args);
   if (args.command == "report") return RunReport(args);
-  if (args.command == "chaos") return RunChaos(args);
   if (args.command == "simulate") return RunSimulate(args);
   if (args.command == "replay") return RunReplay(args);
   if (args.command == "recover") return RunRecover(args);
@@ -1649,7 +1299,6 @@ int main(int argc, char** argv) {
   if (args.command == "serve") return RunServe(args);
   if (args.command == "admin") return RunAdmin(args);
   if (args.command == "loadgen") return RunLoadgen(args);
-  if (args.command == "metrics") return RunMetrics(args);
   PrintUsage();
   return args.command.empty() ? 1 : 2;
 }

@@ -69,10 +69,10 @@ echo "== ${mode}: rockhopper simulate smoke sweep =="
   --scratch="${build_dir}/sim-scratch"
 
 # Tiered-state smoke under the sanitizer: a multi-threaded serve with an
-# eviction budget tight enough to churn the clock hand, periodic journal
-# checkpoints, then an explicit offline checkpoint and a chain recovery of
-# the resulting image (evict / fault-in / rotate / truncate / recover all
-# race under the sanitizer's eyes).
+# eviction budget tight enough to churn the clock hand, a 5 ms idle sweeper,
+# periodic journal checkpoints, then an explicit offline checkpoint and a
+# chain recovery of the resulting image (evict / sweep / fault-in / rotate /
+# truncate / recover all race under the sanitizer's eyes).
 echo "== ${mode}: tiered-state serve + checkpoint + recover smoke =="
 state_scratch="${build_dir}/state-scratch"
 rm -rf "${state_scratch}"
@@ -80,7 +80,8 @@ mkdir -p "${state_scratch}"
 "${build_dir}/tools/rockhopper" serve --threads=8 --iters=12 \
   --journal="${state_scratch}/smoke.journal" \
   --state-dir="${state_scratch}/store" \
-  --memory-budget=65536 --checkpoint-interval=50
+  --memory-budget=65536 --checkpoint-interval=50 \
+  --idle-ttl=2 --sweep-interval-ms=5
 "${build_dir}/tools/rockhopper" checkpoint \
   --journal="${state_scratch}/smoke.journal"
 "${build_dir}/tools/rockhopper" recover --suite=tpcds \
@@ -97,14 +98,16 @@ mkdir -p "${state_scratch}"
 # threads takes loopback traffic from a multi-threaded loadgen (closed-loop
 # workers plus an open-loop noisy tenant hammering the token buckets), then
 # drains on SIGTERM. Races between the event loop, the session batcher, the
-# admission sampler, and the group-commit journal writer all run under the
-# sanitizer here.
+# admission sampler, the group-commit journal writer and the online
+# compactor all run under the sanitizer here. The chain the server leaves
+# must recover every observation its exit report accepted.
 echo "== ${mode}: loopback serve → loadgen smoke =="
 net_scratch="${build_dir}/net-scratch"
 rm -rf "${net_scratch}"
 mkdir -p "${net_scratch}"
 "${build_dir}/tools/rockhopper" serve --listen=127.0.0.1:0 --io-threads=2 \
   --journal="${net_scratch}/serve.journal" --tenant-rate=500 \
+  --checkpoint-interval=500 \
   --metrics-format=off > "${net_scratch}/serve.log" 2>&1 &
 serve_pid=$!
 serve_port=""
@@ -130,3 +133,18 @@ if ! wait "${serve_pid}"; then
   exit 1
 fi
 cat "${net_scratch}/serve.log"
+[[ -f "${net_scratch}/serve.journal.checkpoint" ]] || {
+  echo "ERROR: serve --checkpoint-interval published no checkpoint" >&2
+  exit 1
+}
+accepted="$(sed -n 's/^sanitizer: \([0-9]*\) accepted.*/\1/p' \
+  "${net_scratch}/serve.log")"
+"${build_dir}/tools/rockhopper" recover --suite=tpcds \
+  --journal="${net_scratch}/serve.journal" > "${net_scratch}/recover.log"
+cat "${net_scratch}/recover.log"
+grep -q "recovered [0-9]* signatures, ${accepted} observations" \
+  "${net_scratch}/recover.log" || {
+  echo "ERROR: recovery does not restore the ${accepted} accepted" \
+    "observations" >&2
+  exit 1
+}
