@@ -229,6 +229,44 @@ TEST_F(CheckpointTest, TornCheckpointTailRecoversPrefix) {
   EXPECT_EQ(chain->store.Count(7), 4u);
 }
 
+/// A live journal that ends in a torn record reads as not live-clean: a
+/// writer that appended straight behind the torn bytes would have its
+/// records dropped with them by the next recovery. One compaction seals the
+/// live file and keeps its valid prefix, so later appends survive.
+TEST_F(CheckpointTest, CompactionSealsDamagedLiveTail) {
+  {
+    Result<ObservationJournal> journal = ObservationJournal::Open(path_);
+    ASSERT_TRUE(journal.ok());
+    Append(&*journal, 7, 3);
+    ASSERT_TRUE(journal->Close().ok());
+  }
+  const std::string content = ReadFile(path_);
+  WriteFile(path_, content.substr(0, content.size() - 5));  // tear record 3
+  {
+    Result<JournalChain> chain = RecoverJournalChain(path_);
+    ASSERT_TRUE(chain.ok());
+    EXPECT_FALSE(chain->clean);
+    EXPECT_FALSE(chain->live_clean);
+    EXPECT_EQ(chain->store.Count(7), 2u);
+  }
+
+  Result<ObservationJournal> journal = ObservationJournal::Open(path_);
+  ASSERT_TRUE(journal.ok());
+  Result<CheckpointReport> compacted = CheckpointLive(&*journal, FullImage());
+  ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
+  EXPECT_EQ(compacted->records, 2u);
+  EXPECT_EQ(compacted->records_dropped, 1u);
+  Append(&*journal, 9, 2);
+  ASSERT_TRUE(journal->Close().ok());
+
+  Result<JournalChain> chain = RecoverJournalChain(path_);
+  ASSERT_TRUE(chain.ok());
+  EXPECT_TRUE(chain->clean) << chain->tail_status.ToString();
+  EXPECT_TRUE(chain->live_clean);
+  EXPECT_EQ(chain->store.Count(7), 2u);
+  EXPECT_EQ(chain->store.Count(9), 2u);
+}
+
 TEST_F(CheckpointTest, CheckpointMissingDeclaredRecordsIsDataLoss) {
   Result<ObservationJournal> journal = ObservationJournal::Open(path_);
   ASSERT_TRUE(journal.ok());
@@ -671,6 +709,49 @@ TEST_F(DeltaCheckpointTest, DamagedDeltaHeaderIsDataLossNotStale) {
   EXPECT_TRUE(chain->clean) << chain->tail_status.ToString();
   EXPECT_EQ(chain->store.Count(7), 3u);
   EXPECT_EQ(chain->store.Count(11), 1u);
+}
+
+/// The full compaction past a damaged link is forced whatever the policy
+/// says, warns once naming the file it drops, and leaves a healthy chain:
+/// the next compaction stacks a delta again.
+TEST_F(DeltaCheckpointTest, DamagedLinkCompactionWarnsThenChainResumes) {
+  Result<ObservationJournal> journal = ObservationJournal::Open(path_);
+  ASSERT_TRUE(journal.ok());
+  const DeltaCheckpointPolicy policy = Policy(/*max_chain=*/1000);
+  Append(&*journal, 7, 3);
+  ASSERT_TRUE(CheckpointLive(&*journal, policy).ok());
+  Append(&*journal, 9, 4);
+  ASSERT_TRUE(CheckpointLive(&*journal, policy).ok());  // delta 1
+  const std::string delta_path = CheckpointDeltaPath(path_, 1);
+  const std::string bytes = ReadFile(delta_path);
+  WriteFile(delta_path, "rockhopper-ckpt-delte" + bytes.substr(21));
+
+  Append(&*journal, 11, 1);
+  testing::internal::CaptureStderr();
+  Result<CheckpointReport> full = CheckpointLive(&*journal, policy);
+  const std::string warning = testing::internal::GetCapturedStderr();
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_EQ(full->delta_index, 0u);
+  EXPECT_NE(warning.find(delta_path), std::string::npos) << warning;
+  EXPECT_NE(warning.find("damaged"), std::string::npos) << warning;
+
+  Append(&*journal, 13, 2);
+  testing::internal::CaptureStderr();
+  Result<CheckpointReport> next = CheckpointLive(&*journal, policy);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next->delta_index, 1u);
+  EXPECT_EQ(DeltaCount(), 1u);
+  ASSERT_TRUE(journal->Close().ok());
+
+  Result<JournalChain> chain = RecoverJournalChain(path_);
+  ASSERT_TRUE(chain.ok());
+  EXPECT_TRUE(chain->clean) << chain->tail_status.ToString();
+  EXPECT_EQ(chain->deltas_replayed, 1u);
+  EXPECT_EQ(chain->store.Count(7), 3u);
+  EXPECT_EQ(chain->store.Count(9), 0u);  // lost with the damaged delta
+  EXPECT_EQ(chain->store.Count(11), 1u);
+  EXPECT_EQ(chain->store.Count(13), 2u);
 }
 
 TEST_F(DeltaCheckpointTest, TornCompressedDeltaIsDataLossNotGarbage) {

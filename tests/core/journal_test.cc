@@ -171,6 +171,18 @@ TEST_F(JournalTest, ForeignHeaderIsError) {
             StatusCode::kInvalidArgument);
 }
 
+TEST_F(JournalTest, NonRegularFileIsError) {
+  // Only a regular file holds a chain: a directory (or a device that never
+  // ends) under the journal's name is refused by name, never read.
+  ASSERT_TRUE(std::filesystem::create_directory(path_));
+  Result<JournalChain> recovered = RecoverJournalChain(path_);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(recovered.status().message().find("not a regular file"),
+            std::string::npos)
+      << recovered.status().ToString();
+}
+
 TEST_F(JournalTest, EmptyJournalRecoversEmpty) {
   {
     Result<ObservationJournal> journal = ObservationJournal::Open(path_);

@@ -532,6 +532,87 @@ TEST_F(TuningServiceTest, RecoverFromCheckpointCountsUnknownSignatures) {
   EXPECT_EQ(report->unknown_signatures, 1u);
 }
 
+TEST_F(TuningServiceTest, RecoverySkipsRowsIngestionWouldRejectWithCount) {
+  // Well-formed records whose values ingestion would have refused (a
+  // foreign or hand-written journal): both recovery modes skip and count
+  // them through the one history loop, and keep the rest in order.
+  const std::string path = JournalPath();
+  const sparksim::QueryPlan plan = sparksim::TpchPlan(9);
+  ObservationWindow rows;
+  const auto row = [&](double data_size, double runtime, bool failed) {
+    Observation o;
+    o.config = space_.Defaults();
+    o.data_size = data_size;
+    o.runtime = runtime;
+    o.failed = failed;
+    o.iteration = static_cast<int>(rows.size());
+    rows.push_back(o);
+  };
+  row(1.0, 50.0, false);                                      // good
+  row(1.0, std::numeric_limits<double>::quiet_NaN(), false);  // NaN runtime
+  row(1.0, -3.0, false);                                      // negative
+  row(0.0, 40.0, false);                                      // zero size
+  row(std::numeric_limits<double>::infinity(), 40.0, false);  // inf size
+  row(1.0, 45.0, false);
+  rows.back().config.pop_back();                              // wrong width
+  row(1.0, 45.0, true);                                       // good, failed
+  WriteJournal(path, plan.Signature(), rows);
+
+  for (const bool lazy : {false, true}) {
+    SCOPED_TRACE(lazy ? "lazy" : "eager");
+    TuningService service(space_, nullptr, FastOptions(), 32);
+    TuningService::RecoveryOptions options;
+    options.lazy = lazy;
+    Result<TuningService::RecoveryReport> report =
+        service.RecoverFromCheckpoint(path, {plan}, options);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->journal_clean);  // every record parses
+    EXPECT_EQ(report->signatures_restored, 1u);
+    EXPECT_EQ(report->observations_replayed, 2u);
+    EXPECT_EQ(report->observations_dropped, 5u);
+    const std::vector<Observation>& kept =
+        service.observations().History(plan.Signature());
+    ASSERT_EQ(kept.size(), 2u);
+    EXPECT_DOUBLE_EQ(kept[0].runtime, 50.0);
+    EXPECT_FALSE(kept[0].failed);
+    EXPECT_EQ(kept[1].iteration, 6);
+    EXPECT_TRUE(kept[1].failed);
+    EXPECT_TRUE(space_.Validate(service.OnQueryStart(plan, 1.0)).ok());
+  }
+}
+
+TEST_F(TuningServiceTest, EagerRecoveryUnderRetentionReplaysWholeHistory) {
+  // A retention window bounds the in-memory store, not the replay: the
+  // guardrail must see all 40 regressing rows, where the last 4 alone
+  // would not reach min_iterations and leave tuning enabled.
+  TuningServiceOptions options = FastOptions();
+  options.guardrail.min_iterations = 8;
+  options.guardrail.max_strikes = 2;
+  options.state_tier.observation_window = 4;
+  const sparksim::QueryPlan plan = sparksim::TpchPlan(10);
+  ObservationWindow regressing;
+  for (int i = 0; i < 40; ++i) {
+    Observation o;
+    o.config = space_.Defaults();
+    o.data_size = 1.0;
+    o.runtime = 10.0 + 5.0 * i;
+    o.iteration = i;
+    regressing.push_back(o);
+  }
+  const std::string path = JournalPath();
+  WriteJournal(path, plan.Signature(), regressing);
+
+  TuningService service(space_, nullptr, options, 33);
+  Result<TuningService::RecoveryReport> report =
+      service.RecoverFromCheckpoint(path, {plan});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->observations_replayed, 40u);
+  EXPECT_EQ(service.observations().History(plan.Signature()).size(), 4u);
+  EXPECT_EQ(service.observations().TotalAppended(plan.Signature()), 40u);
+  EXPECT_FALSE(service.IsTuningEnabled(plan.Signature()));
+  EXPECT_EQ(service.OnQueryStart(plan, 1.0), space_.Defaults());
+}
+
 // --- the state tier every service has --------------------------------------
 
 /// One start/end per plan per round; plan `regressing` (if any) slows down
