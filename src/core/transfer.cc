@@ -23,11 +23,6 @@ TransferIndex::TransferIndex(size_t dim, TransferOptions options)
       }()),
       metrics_(&ServiceMetrics::Get()) {}
 
-void TransferIndex::SetThreadPool(common::ThreadPool* pool) {
-  std::lock_guard<std::mutex> lock(mu_);
-  pool_ = pool;
-}
-
 Status TransferIndex::Register(uint64_t signature,
                                const std::vector<double>& embedding) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -38,21 +33,7 @@ Status TransferIndex::Register(uint64_t signature,
   }
   metrics_->transfer_inserts->Increment();
   metrics_->transfer_index_size->Set(static_cast<double>(index_.Size()));
-  MaybeScheduleFlushLocked();
   return Status::OK();
-}
-
-void TransferIndex::MaybeScheduleFlushLocked() {
-  if (pool_ == nullptr || flush_scheduled_ ||
-      index_.PendingSize() < options_.insert_batch) {
-    return;
-  }
-  flush_scheduled_ = true;
-  pool_->Submit([this] {
-    std::lock_guard<std::mutex> lock(mu_);
-    FlushLocked();
-    flush_scheduled_ = false;
-  });
 }
 
 void TransferIndex::FlushLocked() {
@@ -60,8 +41,8 @@ void TransferIndex::FlushLocked() {
   ScopedSpan span(metrics_->transfer_insert_seconds);
   // The graph build itself stays single-threaded here: waves parallelize
   // through Flush(pool), but running them on the pool that also carries the
-  // ingest load would let an index rebuild starve proposals. The batch sizes
-  // this tier sees (insert_batch) build in well under a millisecond.
+  // ingest load would let an index rebuild starve proposals. The inserts
+  // staged between two searches build in well under a millisecond.
   index_.Flush();
 }
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "ml/hnsw_index.h"
 
 namespace rockhopper::core {
@@ -48,11 +47,6 @@ struct TransferOptions {
   size_t seed_observations_per_neighbor = 4;
   /// Cap on total borrowed observations per cold start.
   size_t max_seed_observations = 24;
-  /// Registered embeddings are staged; once this many are pending a graph
-  /// flush is scheduled on the service thread pool (or folded into the next
-  /// search when no pool is attached), keeping inserts off the ingest
-  /// critical path.
-  size_t insert_batch = 64;
   /// HNSW shape (see ml/hnsw_index.h).
   int max_neighbors = 16;
   int ef_construction = 128;
@@ -77,11 +71,6 @@ struct TransferNeighbor {
 class TransferIndex {
  public:
   TransferIndex(size_t dim, TransferOptions options);
-
-  /// Attaches the pool used for background batch flushes. May be null
-  /// (flushes then fold into the next search). The pool must outlive this
-  /// index or be detached (SetThreadPool(nullptr) + pool Wait) first.
-  void SetThreadPool(common::ThreadPool* pool);
 
   /// Stages the signature's embedding for indexing. Idempotent per
   /// signature. kInvalidArgument on non-finite embeddings (corrupted
@@ -128,7 +117,6 @@ class TransferIndex {
   std::vector<TransferNeighbor> SearchLocked(
       const std::vector<double>& embedding, size_t k, uint64_t exclude,
       bool exact);
-  void MaybeScheduleFlushLocked();
   void FlushLocked();
 
   const size_t dim_;
@@ -137,8 +125,6 @@ class TransferIndex {
 
   mutable std::mutex mu_;
   ml::HnswIndex index_;
-  common::ThreadPool* pool_ = nullptr;
-  bool flush_scheduled_ = false;
   uint64_t searches_ = 0;
   ServiceMetrics* metrics_;
 };

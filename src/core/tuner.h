@@ -14,8 +14,7 @@ namespace rockhopper::core {
 ///      the expected input data size p (tuners free to ignore it);
 ///   2. the caller executes and reports the outcome via Observe().
 /// Implementations: CentroidLearner (Rockhopper), BoTuner / ContextualBoTuner
-/// (Bayesian Optimization baselines), Flow2Tuner, HillClimbTuner,
-/// RandomSearchTuner.
+/// (Bayesian Optimization baselines), Flow2Tuner, ExpertPolicyTuner.
 class Tuner {
  public:
   virtual ~Tuner() = default;

@@ -316,6 +316,9 @@ Status TuningService::Shutdown() {
   journal_ = nullptr;
   const Status sync = journal->Sync();
   const Status close = journal->Close();
+  // Close drained the writer, so its count is final.
+  detached_write_errors_.fetch_add(journal->async_write_errors(),
+                                   std::memory_order_relaxed);
   return sync.ok() ? close : sync;
 }
 

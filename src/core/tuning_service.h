@@ -251,10 +251,12 @@ class TuningService {
   /// are counted, never fatal to the tuning path, and logged rate-limited
   /// (first error, then every 100th).
   void AttachJournal(ObservationJournal* journal) { journal_ = journal; }
-  /// Total journal records lost: synchronous append failures plus (when the
-  /// attached journal runs in group-commit mode) asynchronous write errors.
+  /// Total journal records lost: synchronous append failures plus the
+  /// group-commit writer's asynchronous write errors, of the attached
+  /// journal and of every journal Shutdown detached.
   uint64_t journal_errors() const {
     return pipeline_.journal_errors() +
+           detached_write_errors_.load(std::memory_order_relaxed) +
            (journal_ != nullptr ? journal_->async_write_errors() : 0);
   }
 
@@ -401,12 +403,6 @@ class TuningService {
   TransferIndex* transfer_index() { return transfer_.get(); }
   const TransferIndex* transfer_index() const { return transfer_.get(); }
 
-  /// Routes the transfer tier's background batch flushes onto `pool`
-  /// (nullptr detaches; then staged inserts fold into the next search).
-  void SetTransferThreadPool(common::ThreadPool* pool) {
-    if (transfer_ != nullptr) transfer_->SetThreadPool(pool);
-  }
-
   /// The configuration this signature's tuner currently believes in: its
   /// centroid, or the defaults when the signature is disabled/unknown-cold.
   /// NotFound before the signature's first contact. Used by the transfer
@@ -489,6 +485,8 @@ class TuningService {
   IngestPipeline pipeline_;
   ServiceMetrics* metrics_;
   ObservationJournal* journal_ = nullptr;
+  /// The writer's final error count of each journal Shutdown detached.
+  std::atomic<uint64_t> detached_write_errors_{0};
   sparksim::ConfigSpace app_space_;
   AppCache app_cache_;
   mutable std::mutex app_mu_;

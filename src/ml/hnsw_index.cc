@@ -583,19 +583,6 @@ Status HnswIndex::Load(const std::string& artifact,
   return Status::OK();
 }
 
-void HnswIndex::Clear() {
-  vectors_.clear();
-  ids_.clear();
-  levels_.clear();
-  slot_of_.clear();
-  links0_.clear();
-  link0_count_.clear();
-  upper_.clear();
-  entry_slot_ = 0;
-  entry_level_ = -1;
-  pending_.clear();
-}
-
 size_t HnswIndex::ApproxBytes() const {
   size_t bytes = vectors_.capacity() * sizeof(float) +
                  ids_.capacity() * sizeof(uint64_t) +

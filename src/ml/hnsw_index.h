@@ -127,7 +127,6 @@ class HnswIndex {
   Status Load(const std::string& artifact,
               const std::vector<uint64_t>* keep = nullptr);
 
-  void Clear();
   size_t ApproxBytes() const;
   const HnswOptions& options() const { return options_; }
 

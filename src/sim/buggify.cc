@@ -136,13 +136,4 @@ uint64_t BuggifyRegistry::TotalFires() const {
   return total;
 }
 
-size_t BuggifyRegistry::ActiveSections() const {
-  size_t active = 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const BuggifySection* section : sections_) {
-    if (section->activated.load(std::memory_order_relaxed)) ++active;
-  }
-  return active;
-}
-
 }  // namespace rockhopper::sim

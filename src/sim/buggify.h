@@ -88,8 +88,6 @@ class BuggifyRegistry {
 
   /// Sections that fired at least once this epoch (for run reports).
   uint64_t TotalFires() const;
-  /// Sections activated by the current seed.
-  size_t ActiveSections() const;
 
  private:
   BuggifyRegistry() = default;

@@ -13,6 +13,7 @@
 
 #include "core/journal.h"
 #include "core/model_store.h"
+#include "core/tracing.h"
 #include "core/tuning_service.h"
 #include "sparksim/workloads.h"
 
@@ -59,7 +60,6 @@ TEST(TransferIndexTest, NonFiniteEmbeddingsAreRefused) {
 TEST(TransferIndexTest, ConcurrentRegisterAndSearchIsSafe) {
   TransferOptions options;
   options.enabled = true;
-  options.insert_batch = 16;
   TransferIndex index(8, options);
   constexpr int kThreads = 8;
   constexpr int kPerThread = 200;
@@ -84,6 +84,51 @@ TEST(TransferIndexTest, ConcurrentRegisterAndSearchIsSafe) {
   index.Flush();
   EXPECT_EQ(index.Size(), static_cast<size_t>(kThreads) * kPerThread);
   EXPECT_GT(searches_served.load(), 0);
+}
+
+/// Graph builds of staged inserts so far, process-wide.
+uint64_t Builds() {
+  return ServiceMetrics::Get().transfer_insert_seconds->Count();
+}
+
+TEST(TransferIndexTest, RegistrationStagesAndTheNextSearchBuildsOnce) {
+  TransferOptions options;
+  options.enabled = true;
+  TransferIndex index(8, options);
+  const uint64_t before = Builds();
+  for (uint64_t signature = 1; signature <= 5; ++signature) {
+    ASSERT_TRUE(index.Register(signature, Point(0.01 * signature)).ok());
+  }
+  EXPECT_EQ(Builds(), before);  // registration only stages
+  // Every staged insert is retrievable by the search that drains them.
+  EXPECT_EQ(index.Neighbors(Point(0.0), 8, 0).size(), 5u);
+  EXPECT_EQ(index.Neighbors(Point(0.0), 8, 0).size(), 5u);
+  EXPECT_EQ(Builds(), before + 1);  // the second search had nothing staged
+}
+
+TEST(TransferIndexTest, FlushBuildsStagedInsertsOnce) {
+  TransferOptions options;
+  options.enabled = true;
+  TransferIndex index(8, options);
+  const uint64_t before = Builds();
+  ASSERT_TRUE(index.Register(1, Point(0.0)).ok());
+  ASSERT_TRUE(index.Register(2, Point(0.1)).ok());
+  index.Flush();
+  index.Flush();
+  EXPECT_EQ(Builds(), before + 1);
+  EXPECT_EQ(index.Size(), 2u);
+}
+
+TEST(TransferIndexTest, ReRegisteringASignatureKeepsItsFirstEmbedding) {
+  TransferOptions options;
+  options.enabled = true;
+  options.max_distance = 0.5;
+  TransferIndex index(8, options);
+  ASSERT_TRUE(index.Register(1, Point(0.0)).ok());
+  ASSERT_TRUE(index.Register(1, Point(10.0)).ok());
+  EXPECT_EQ(index.Size(), 1u);
+  EXPECT_EQ(index.Neighbors(Point(0.0), 4, 0).size(), 1u);
+  EXPECT_TRUE(index.Neighbors(Point(10.0), 4, 0).empty());
 }
 
 class TransferServiceTest : public ::testing::Test {

@@ -480,6 +480,30 @@ TEST_F(TuningServiceTest, JournalRecordsAcceptedObservationsOnly) {
   EXPECT_EQ(recovered->tail_records, 2u);  // the NaN never made it in
 }
 
+TEST_F(TuningServiceTest, JournalErrorsKeepWriterFailuresAfterShutdown) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full not available";
+  }
+  Result<ObservationJournal> journal = ObservationJournal::Open("/dev/full");
+  if (!journal.ok()) {
+    GTEST_SKIP() << "/dev/full refused: " << journal.status().ToString();
+  }
+  ASSERT_TRUE(journal->StartGroupCommit({}).ok());
+  TuningService service(space_, nullptr, FastOptions(), 32);
+  service.AttachJournal(&*journal);
+  const sparksim::QueryPlan plan = sparksim::TpchPlan(8);
+  const sparksim::ConfigVector c = service.OnQueryStart(plan, 1.0);
+  service.OnQueryEnd(plan, Event(c, 30.0));
+  EXPECT_FALSE(service.Shutdown().ok());
+  // The group-commit writer failed the record; detaching the journal must
+  // not drop its count.
+  const uint64_t errors = service.journal_errors();
+  EXPECT_GT(errors, 0u);
+  // A second Shutdown has no journal left and must not count it again.
+  EXPECT_TRUE(service.Shutdown().ok());
+  EXPECT_EQ(service.journal_errors(), errors);
+}
+
 TEST_F(TuningServiceTest, RecoverFromCheckpointRestoresBareJournal) {
   const std::string path = JournalPath();
   const sparksim::QueryPlan plan_a = sparksim::TpchPlan(9);

@@ -12,7 +12,6 @@
 #include "core/embedding.h"
 #include "core/flow2_tuner.h"
 #include "core/manual_policy.h"
-#include "core/simple_tuners.h"
 #include "sparksim/cost_model.h"
 #include "sparksim/synthetic.h"
 #include "sparksim/workloads.h"
@@ -97,15 +96,6 @@ std::unique_ptr<Tuner> MakeFlow2(const sparksim::ConfigSpace& space,
   return std::make_unique<core::Flow2Tuner>(space, space.Defaults(),
                                             core::Flow2Options{}, seed);
 }
-std::unique_ptr<Tuner> MakeHill(const sparksim::ConfigSpace& space,
-                                uint64_t seed) {
-  return std::make_unique<core::HillClimbTuner>(space, space.Defaults(), 0.1,
-                                                seed);
-}
-std::unique_ptr<Tuner> MakeRandom(const sparksim::ConfigSpace& space,
-                                  uint64_t seed) {
-  return std::make_unique<core::RandomSearchTuner>(space, seed);
-}
 std::unique_ptr<Tuner> MakeExpert(const sparksim::ConfigSpace& space,
                                   uint64_t seed) {
   return std::make_unique<core::ExpertPolicyTuner>(
@@ -165,8 +155,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(TunerCase{"centroid", &MakeCl},
                       TunerCase{"bo", &MakeBo},
                       TunerCase{"flow2", &MakeFlow2},
-                      TunerCase{"hill", &MakeHill},
-                      TunerCase{"random", &MakeRandom},
                       TunerCase{"expert", &MakeExpert}),
     [](const ::testing::TestParamInfo<TunerCase>& info) {
       return info.param.name;

@@ -49,10 +49,10 @@
 //       (--metrics-format=prom|json|off);
 //
 // serve, serve --listen, tune and recover hold their service through one
-// ServingSetup (below), so a journal is only ever appended by a service
-// that has recovered it. Every run is deterministic given --seed (serve:
-// per-signature streams are seed-deterministic; thread interleaving
-// varies).
+// net::ServingStack (src/net/serving_stack.h), so a journal is only ever
+// appended by a service that has recovered it. Every run is deterministic
+// given --seed (serve: per-signature streams are seed-deterministic; thread
+// interleaving varies).
 
 #include <atomic>
 #include <chrono>
@@ -62,7 +62,6 @@
 #include <cstring>
 #include <filesystem>
 #include <map>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -81,7 +80,7 @@
 #include "net/client.h"
 #include "net/loadgen.h"
 #include "net/server.h"
-#include "net/server_core.h"
+#include "net/serving_stack.h"
 #include "sim/service_digest.h"
 #include "sim/sim_runner.h"
 #include "sim/trace.h"
@@ -192,241 +191,119 @@ void PrintJournalStatus(const std::string& path, const Status& status) {
   }
 }
 
-// The one serving setup. serve, serve --listen, tune and recover hold their
-// service through it and differ only in the traffic they drive between
-// Open and Close:
-//   Open   1. attach the state tier the flags describe;
-//          2. start its sweeper;
-//          3. recover the --journal chain (none yet is a cold start;
-//             --lazy-recovery picks lazy recovery);
-//          4. open the journal in group commit (compacting a damaged live
-//             tail away first);
-//          5. compact every --checkpoint-interval accepted observations;
-//          6. the verb drives its traffic and drains it;
-//   Close  7. run one final compaction;
-//          8. shut the journal down, Status checked;
-//          9. print the exit report and the metrics scrape.
-// Without --journal the journal steps are skipped. servebench's
-// ServingStack runs the same order.
-class ServingSetup {
- public:
-  // `plans` must outlive the setup.
-  ServingSetup(const Args& args, const std::vector<sparksim::QueryPlan>& plans,
-               const BaselineModel* baseline, uint64_t seed)
-      : args_(args),
-        plans_(plans),
-        space_(sparksim::QueryLevelSpace()),
-        journal_path_(args.Get("journal", "")),
-        checkpoint_interval_(args.GetInt("checkpoint-interval", 0)),
-        service_(space_, baseline, TuningServiceOptions{}, seed) {}
-  ~ServingSetup() { StopCompactor(); }
-  ServingSetup(const ServingSetup&) = delete;
-  ServingSetup& operator=(const ServingSetup&) = delete;
+// The serving flags of serve, serve --listen, tune and recover, as the
+// options of their one serving stack (net::ServingStack):
+// --journal names the chain to recover, then append to, compacted every
+// --checkpoint-interval accepted observations; --memory-budget is the one
+// process-wide budget, split between resident query state and observation
+// history by --state-budget-fraction; --idle-ttl plus --sweep-interval-ms
+// drive idle eviction; --compress=false stores cold artifacts and
+// checkpoint deltas raw; --lazy-recovery=true restores signatures as cold
+// pointers that fault in on first touch. A cold store under --state-dir is
+// opened only when something can be evicted (a budget or an idle TTL).
+net::ServingStackOptions ServingFlags(const Args& args) {
+  net::ServingStackOptions options;
+  options.journal_path = args.Get("journal", "");
+  options.checkpoint_interval =
+      static_cast<size_t>(std::max(0, args.GetInt("checkpoint-interval", 0)));
+  options.state_dir = args.Get("state-dir", options.state_dir);
+  StateTierOptions& tier = options.tier;
+  tier.shared_budget_bytes =
+      std::strtoull(args.Get("memory-budget", "0").c_str(), nullptr, 10);
+  tier.state_budget_fraction =
+      args.GetDouble("state-budget-fraction", tier.state_budget_fraction);
+  tier.observation_window =
+      static_cast<size_t>(args.GetInt("obs-window", 0));
+  tier.idle_ttl_ticks = static_cast<uint64_t>(args.GetInt("idle-ttl", 0));
+  tier.sweep_interval_ms = args.GetInt("sweep-interval-ms", 1000);
+  tier.compress = args.Get("compress", "true") != "false";
+  tier.lazy_recovery = args.Get("lazy-recovery", "") == "true";
+  return options;
+}
 
-  // Steps 1-5; false after printing why. With `need_chain` a missing
-  // chain is an error rather than a cold start.
-  bool Open(bool need_chain) {
-    AttachStateTierFromArgs();
-    service_.StartStateSweeper();
-    if (journal_path_.empty()) return true;
+// Opens the stack and prints what its recovery found; false after printing
+// why it could not open. With `require_chain` a missing chain is an error
+// rather than a cold start.
+bool OpenStack(net::ServingStack* stack, bool require_chain) {
+  auto opened = stack->Open(require_chain);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
+    return false;
+  }
+  if (const auto& report = opened->recovery) {
+    PrintJournalStatus(stack->options().journal_path, report->journal_status);
+    std::printf("checkpoint seq %llu; replayed tail of %zu records across "
+                "%zu sealed segments + live journal\n",
+                static_cast<unsigned long long>(report->checkpoint_seq),
+                report->tail_records, report->segments_replayed);
+    std::printf("recovered %zu signatures, %zu observations (%zu dropped, "
+                "%zu unknown signatures)\n",
+                report->signatures_restored, report->observations_replayed,
+                report->observations_dropped, report->unknown_signatures);
+  }
+  if (opened->compacted_torn_records) {
+    std::printf("compacted the damaged journal (%zu torn records dropped)\n",
+                *opened->compacted_torn_records);
+  }
+  return true;
+}
 
-    TuningService::RecoveryOptions recovery;
-    recovery.lazy = service_.state_tier_options().lazy_recovery;
-    auto report =
-        service_.RecoverFromCheckpoint(journal_path_, plans_, recovery);
-    if (report.ok()) {
-      PrintJournalStatus(journal_path_, report->journal_status);
-      std::printf("checkpoint seq %llu; replayed tail of %zu records across "
-                  "%zu sealed segments + live journal\n",
-                  static_cast<unsigned long long>(report->checkpoint_seq),
-                  report->tail_records, report->segments_replayed);
-      std::printf("recovered %zu signatures, %zu observations (%zu dropped, "
-                  "%zu unknown signatures)\n",
-                  report->signatures_restored, report->observations_replayed,
-                  report->observations_dropped, report->unknown_signatures);
-    } else if (report.status().code() != StatusCode::kNotFound) {
-      std::fprintf(stderr, "recovery failed: %s\n",
-                   report.status().ToString().c_str());
-      return false;
-    } else if (need_chain) {
-      std::fprintf(stderr, "no journal at %s\n", journal_path_.c_str());
-      return false;
-    }
-
-    auto opened = ObservationJournal::Open(journal_path_);
-    if (!opened.ok()) {
-      std::fprintf(stderr, "cannot open journal: %s\n",
-                   opened.status().ToString().c_str());
-      return false;
-    }
-    journal_ = std::move(*opened);
-    if (Status st = journal_.StartGroupCommit({}); !st.ok()) {
-      std::fprintf(stderr, "cannot start group commit: %s\n",
-                   st.ToString().c_str());
-      return false;
-    }
-    service_.AttachJournal(&journal_);
-    // The next recovery would drop records appended behind a damaged tail
-    // along with it: compact once first, which seals the live file and
-    // keeps its valid prefix.
-    if (report.ok() && !report->live_journal_clean) {
-      auto compacted = service_.Checkpoint();
-      if (!compacted.ok()) {
-        std::fprintf(stderr, "cannot compact the damaged journal: %s\n",
-                     compacted.status().ToString().c_str());
-        return false;
-      }
-      std::printf("compacted the damaged journal (%zu torn records "
-                  "dropped)\n",
-                  compacted->records_dropped);
-    }
-
-    if (checkpoint_interval_ > 0) {
-      // Online compaction: the journal's rotation barrier lets it run
-      // concurrently with live group-commit appends.
-      compacting_.store(true, std::memory_order_relaxed);
-      compactor_ = std::thread([this] {
-        uint64_t last = 0;
-        while (compacting_.load(std::memory_order_relaxed)) {
-          const uint64_t accepted = service_.telemetry_stats().accepted.load(
-              std::memory_order_relaxed);
-          if (accepted - last >= static_cast<uint64_t>(checkpoint_interval_)) {
-            if (service_.Checkpoint().ok()) {
-              checkpoints_.fetch_add(1, std::memory_order_relaxed);
-            }
-            last = accepted;
-          }
-          std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        }
-      });
-    }
-    return true;
+// Closes the stack once the verb drained its traffic (a no-op when the verb
+// already closed it to drain its server), then prints the exit report and
+// the metrics scrape. Returns `exit_code`, or 1 when the journal failed.
+int FinishStack(net::ServingStack* stack, int exit_code, const Args& args,
+                const char* default_metrics_format) {
+  // A journal that swallowed a write error must fail the run loudly, not
+  // exit 0 with silently missing records.
+  if (Status st = stack->Close(); !st.ok()) {
+    std::fprintf(stderr, "journal shutdown failed: %s\n",
+                 st.ToString().c_str());
+    exit_code = 1;
   }
 
-  // Steps 7-9, after the verb drained its traffic. Returns `exit_code`, or
-  // 1 when the journal failed.
-  int Close(int exit_code, const char* default_metrics_format) {
-    if (compactor_.joinable()) {
-      StopCompactor();
-      // One final compaction so the chain a restart replays is as short as
-      // the interval promises.
-      if (service_.Checkpoint().ok()) {
-        checkpoints_.fetch_add(1, std::memory_order_relaxed);
-      }
+  const TuningService& service = stack->service();
+  const net::ServingStackOptions& options = stack->options();
+  const TelemetryStats& stats = service.telemetry_stats();
+  std::printf("sanitizer: %llu accepted, %llu rejected; guardrail disabled "
+              "%zu/%zu signatures\n",
+              static_cast<unsigned long long>(
+                  stats.accepted.load(std::memory_order_relaxed)),
+              static_cast<unsigned long long>(stats.total_rejected()),
+              service.NumDisabled(), service.NumSignatures());
+  if (!options.journal_path.empty()) {
+    std::printf("journal closed: %s (%llu append errors)\n",
+                options.journal_path.c_str(),
+                static_cast<unsigned long long>(service.journal_errors()));
+    if (options.checkpoint_interval > 0) {
+      std::printf("journal checkpoints: %llu (every %zu accepted "
+                  "observations)\n",
+                  static_cast<unsigned long long>(stack->checkpoints()),
+                  options.checkpoint_interval);
     }
-    // A journal that swallowed a write error must fail the run loudly, not
-    // exit 0 with silently missing records.
-    if (Status st = service_.Shutdown(); !st.ok()) {
-      std::fprintf(stderr, "journal shutdown failed: %s\n",
-                   st.ToString().c_str());
-      exit_code = 1;
-    }
-
-    const TelemetryStats& stats = service_.telemetry_stats();
-    std::printf("sanitizer: %llu accepted, %llu rejected; guardrail disabled "
-                "%zu/%zu signatures\n",
-                static_cast<unsigned long long>(
-                    stats.accepted.load(std::memory_order_relaxed)),
-                static_cast<unsigned long long>(stats.total_rejected()),
-                service_.NumDisabled(), service_.NumSignatures());
-    if (!journal_path_.empty()) {
-      // Shutdown drained the group-commit writer and detached the journal,
-      // so the writer's failures are read from the journal itself.
-      std::printf("journal closed: %s (%llu append errors)\n",
-                  journal_path_.c_str(),
-                  static_cast<unsigned long long>(
-                      service_.journal_errors() +
-                      journal_.async_write_errors()));
-      if (checkpoint_interval_ > 0) {
-        std::printf("journal checkpoints: %llu (every %d accepted "
-                    "observations)\n",
-                    static_cast<unsigned long long>(
-                        checkpoints_.load(std::memory_order_relaxed)),
-                    checkpoint_interval_);
-      }
-    }
-    if (store_) {
-      const TierStats tier = service_.StateTierStats();
-      std::printf("state tier: %zu resident (%zu bytes of %llu budget), "
-                  "%zu cold; %llu evictions, %llu fault-ins\n",
-                  tier.resident_signatures, tier.resident_bytes,
-                  static_cast<unsigned long long>(
-                      service_.shared_budget_bytes()),
-                  tier.cold_signatures,
-                  static_cast<unsigned long long>(tier.evictions),
-                  static_cast<unsigned long long>(tier.faultins));
-    }
-
-    const std::string format =
-        args_.Get("metrics-format", default_metrics_format);
-    if (format != "off") {
-      const common::MetricsSnapshot scrape = service_.Metrics();
-      std::printf("\n# --- metrics scrape at exit ---\n");
-      if (format == "json") {
-        std::printf("%s\n", scrape.ToJson().c_str());
-      } else {
-        std::printf("%s", scrape.ToPrometheusText().c_str());
-      }
-    }
-    return exit_code;
+  }
+  if (stack->has_cold_store()) {
+    const TierStats tier = service.StateTierStats();
+    std::printf("state tier: %zu resident (%zu bytes of %llu budget), "
+                "%zu cold; %llu evictions, %llu fault-ins\n",
+                tier.resident_signatures, tier.resident_bytes,
+                static_cast<unsigned long long>(service.shared_budget_bytes()),
+                tier.cold_signatures,
+                static_cast<unsigned long long>(tier.evictions),
+                static_cast<unsigned long long>(tier.faultins));
   }
 
-  TuningService& service() { return service_; }
-
- private:
-  // --memory-budget is the one process-wide budget, split between resident
-  // query state and observation history by --state-budget-fraction;
-  // --idle-ttl plus --sweep-interval-ms drive idle eviction;
-  // --compress=false stores cold artifacts and checkpoint deltas raw;
-  // --lazy-recovery=true restores signatures as cold pointers that fault in
-  // on first touch. A cold store under --state-dir is opened only when
-  // something can be evicted (a budget or an idle TTL).
-  void AttachStateTierFromArgs() {
-    for (const sparksim::QueryPlan& plan : plans_) {
-      plan_index_[plan.Signature()] = &plan;
+  const std::string format = args.Get("metrics-format", default_metrics_format);
+  if (format != "off") {
+    const common::MetricsSnapshot scrape = service.Metrics();
+    std::printf("\n# --- metrics scrape at exit ---\n");
+    if (format == "json") {
+      std::printf("%s\n", scrape.ToJson().c_str());
+    } else {
+      std::printf("%s", scrape.ToPrometheusText().c_str());
     }
-    StateTierOptions tier;
-    tier.shared_budget_bytes =
-        std::strtoull(args_.Get("memory-budget", "0").c_str(), nullptr, 10);
-    tier.state_budget_fraction = args_.GetDouble(
-        "state-budget-fraction", StateTierOptions().state_budget_fraction);
-    tier.observation_window =
-        static_cast<size_t>(args_.GetInt("obs-window", 0));
-    tier.idle_ttl_ticks = static_cast<uint64_t>(args_.GetInt("idle-ttl", 0));
-    tier.sweep_interval_ms = args_.GetInt("sweep-interval-ms", 1000);
-    tier.compress = args_.Get("compress", "true") != "false";
-    tier.lazy_recovery = args_.Get("lazy-recovery", "") == "true";
-    tier.plan_resolver = [this](uint64_t signature) {
-      auto it = plan_index_.find(signature);
-      return it == plan_index_.end() ? nullptr : it->second;
-    };
-    if (tier.shared_budget_bytes > 0 || tier.idle_ttl_ticks > 0) {
-      store_.emplace(args_.Get("state-dir", "rockhopper-state"));
-    }
-    service_.AttachStateTier(store_ ? &*store_ : nullptr, std::move(tier));
   }
-
-  void StopCompactor() {
-    compacting_.store(false, std::memory_order_relaxed);
-    if (compactor_.joinable()) compactor_.join();
-  }
-
-  const Args& args_;
-  const std::vector<sparksim::QueryPlan>& plans_;
-  const sparksim::ConfigSpace space_;  // the service keeps a reference
-  const std::string journal_path_;
-  const int checkpoint_interval_;
-  // Declared before the service, which points into all three: the plan
-  // index its resolver reads, the cold store evictions spill to, and the
-  // journal.
-  std::map<uint64_t, const sparksim::QueryPlan*> plan_index_;
-  std::optional<ModelStore> store_;
-  ObservationJournal journal_;
-  TuningService service_;
-  std::atomic<bool> compacting_{false};
-  std::atomic<uint64_t> checkpoints_{0};
-  std::thread compactor_;
-};
+  return exit_code;
+}
 
 int RunFlight(const Args& args) {
   const std::string out_dir = args.Get("out", "rockhopper-out");
@@ -510,9 +387,10 @@ int RunTune(const Args& args) {
   sparksim::SparkSimulator sim(sim_options);
 
   const std::vector<sparksim::QueryPlan> plans = SuitePlans(args, "tpch");
-  ServingSetup setup(args, plans, baseline, sim_options.seed);
-  if (!setup.Open(/*need_chain=*/false)) return 1;
-  TuningService& service = setup.service();
+  net::ServingStack stack(plans, baseline, sim_options.seed,
+                          ServingFlags(args));
+  if (!OpenStack(&stack, /*require_chain=*/false)) return 1;
+  TuningService& service = stack.service();
   const int iters = args.GetInt("iters", 40);
   std::printf("tuning %zu queries x %d iterations (FL=%.2f SL=%.2f)\n\n",
               plans.size(), iters, sim_options.noise.fluctuation_level,
@@ -549,7 +427,7 @@ int RunTune(const Args& args) {
               default_total, tuned_total,
               100.0 * (default_total - tuned_total) / default_total,
               service.NumDisabled(), service.NumSignatures());
-  return setup.Close(0, "off");
+  return FinishStack(&stack, 0, args, "off");
 }
 
 int RunReport(const Args& args) {
@@ -584,17 +462,18 @@ int RunReport(const Args& args) {
   return 0;
 }
 
-// The serving setup with no traffic: recovery, then what survived.
+// The serving stack with no traffic: recovery, then what survived.
 int RunRecover(const Args& args) {
   if (args.Get("journal", "").empty()) {
     std::fprintf(stderr, "recover requires --journal=FILE\n");
     return 1;
   }
   const std::vector<sparksim::QueryPlan> plans = SuitePlans(args, "tpch");
-  ServingSetup setup(args, plans, nullptr,
-                     static_cast<uint64_t>(args.GetInt("seed", 31)));
-  if (!setup.Open(/*need_chain=*/true)) return 1;
-  const TuningService& service = setup.service();
+  net::ServingStack stack(plans, nullptr,
+                          static_cast<uint64_t>(args.GetInt("seed", 31)),
+                          ServingFlags(args));
+  if (!OpenStack(&stack, /*require_chain=*/true)) return 1;
+  const TuningService& service = stack.service();
   for (const sparksim::QueryPlan& plan : plans) {
     const size_t n = service.IterationCount(plan.Signature());
     if (n == 0) continue;
@@ -603,7 +482,7 @@ int RunRecover(const Args& args) {
                 service.IsTuningEnabled(plan.Signature()) ? "enabled"
                                                           : "disabled");
   }
-  return setup.Close(0, "off");
+  return FinishStack(&stack, 0, args, "off");
 }
 
 // Operator debugging of bad warm starts: recover a service from the journal
@@ -780,50 +659,26 @@ bool ParseListen(const std::string& value, std::string* host,
   return true;
 }
 
-// serve --listen's traffic: the tuning service behind the wire-protocol
-// front end, per-tenant token buckets + the global admission controller in
-// front of ingestion, and a drain-first stop so the exit report covers
-// every request the server acked. Returns the run's exit code.
-int DriveListen(const Args& args,
-                const std::vector<sparksim::QueryPlan>& plans,
-                net::ServerOptions server_options, TuningService* service) {
-  net::PlanRegistry registry;
-  for (const sparksim::QueryPlan& plan : plans) registry.Register(&plan);
-
-  net::ServerCoreOptions core_options;
-  core_options.tenant_limits.default_rate = args.GetDouble("tenant-rate", 0.0);
-  core_options.tenant_limits.burst_seconds =
-      args.GetDouble("tenant-burst-s", 0.25);
-  core_options.admission.flush_p99_target =
-      args.GetDouble("flush-p99-target", 0.050);
-  core_options.admission.queue_depth_target = args.GetDouble(
-      "queue-target", net::AdmissionController::Options().queue_depth_target);
-  core_options.tiering_budget_bytes = service->shared_budget_bytes();
-  core_options.admin_token = args.Get("admin-token", "");
-  core_options.max_batch =
-      static_cast<size_t>(std::max(1, args.GetInt("net-batch", 64)));
-  net::ServerCore core(service, &registry, core_options);
-
-  server_options.io_threads = args.GetInt("io-threads", 1);
-  server_options.use_epoll = args.Get("poll", "") != "true";
-  net::Server server(&core, server_options);
-  if (Status st = server.Start(); !st.ok()) {
-    std::fprintf(stderr, "server start failed: %s\n", st.ToString().c_str());
-    return 1;
-  }
+// serve --listen's traffic: the stack's wire-protocol server, with
+// per-tenant token buckets + the global admission controller in front of
+// ingestion, takes requests until SIGINT/SIGTERM or --duration-s; then the
+// stack closes, draining the server first, so the report below covers every
+// request the server acked. Returns the run's exit code.
+int DriveListen(const Args& args, net::ServingStack* stack) {
+  net::Server* server = stack->server();
   // Scripts wait for this line to learn the ephemeral port.
   std::printf("listening on %s:%u (%zu signatures, suite %s)\n",
-              server_options.host.c_str(), server.port(), registry.size(),
-              args.Get("suite", "tpcds").c_str());
+              stack->options().listen->host.c_str(), server->port(),
+              stack->plans().size(), args.Get("suite", "tpcds").c_str());
   std::fflush(stdout);
 
-  g_listen_server.store(&server, std::memory_order_release);
+  g_listen_server.store(server, std::memory_order_release);
   std::signal(SIGINT, HandleStopSignal);
   std::signal(SIGTERM, HandleStopSignal);
 
   const double duration_s = args.GetDouble("duration-s", 0.0);
   const auto started = std::chrono::steady_clock::now();
-  while (!server.stop_requested()) {
+  while (!server->stop_requested()) {
     if (duration_s > 0.0 &&
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       started)
@@ -833,14 +688,14 @@ int DriveListen(const Args& args,
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
 
-  // Drain before the report: staged observe batches flush through the
-  // service and buffered responses are written, so every request the server
-  // acked is inside the counters printed below.
-  server.Stop(args.GetInt("drain-ms", 2000));
+  // FinishStack reads the Close status again.
+  (void)stack->Close(args.GetInt("drain-ms", 2000));
   g_listen_server.store(nullptr, std::memory_order_release);
 
   const ServiceMetrics& m = ServiceMetrics::Get();
-  const TelemetryStats& stats = service->telemetry_stats();
+  const TelemetryStats& stats = stack->service().telemetry_stats();
+  const net::AdmissionController& admission =
+      stack->server_core()->admission();
   std::printf("\nconnections: %llu accepted; rx %llu bytes, tx %llu bytes\n",
               static_cast<unsigned long long>(
                   m.net_connections_accepted->Value()),
@@ -860,7 +715,7 @@ int DriveListen(const Args& args,
               "payload\n",
               static_cast<unsigned long long>(m.net_shed_tenant->Value()),
               static_cast<unsigned long long>(m.net_shed_global->Value()),
-              core.admission().rate(), core.admission().pressure_source(),
+              admission.rate(), admission.pressure_source(),
               static_cast<unsigned long long>(m.net_bad_crc->Value()),
               static_cast<unsigned long long>(m.net_bad_frame->Value()),
               static_cast<unsigned long long>(m.net_bad_payload->Value()));
@@ -886,22 +741,35 @@ int DriveListen(const Args& args,
 }
 
 // One shared service driven by K tenant threads, or by the wire protocol
-// with --listen; both run through the serving setup.
+// with --listen; both run through the serving stack.
 int RunServe(const Args& args) {
+  net::ServingStackOptions options = ServingFlags(args);
   const bool listen = args.flags.count("listen") != 0;
-  net::ServerOptions server_options;
-  if (listen && !ParseListen(args.Get("listen", ""), &server_options.host,
-                             &server_options.port)) {
-    std::fprintf(stderr, "malformed --listen (want PORT or HOST:PORT)\n");
-    return 2;
+  if (listen) {
+    net::ServerOptions& server = options.listen.emplace();
+    if (!ParseListen(args.Get("listen", ""), &server.host, &server.port)) {
+      std::fprintf(stderr, "malformed --listen (want PORT or HOST:PORT)\n");
+      return 2;
+    }
+    server.io_threads = args.GetInt("io-threads", 1);
+    server.use_epoll = args.Get("poll", "") != "true";
+    auto& core = options.server_core;
+    core.tenant_limits.default_rate = args.GetDouble("tenant-rate", 0.0);
+    core.tenant_limits.burst_seconds = args.GetDouble("tenant-burst-s", 0.25);
+    core.admission.flush_p99_target =
+        args.GetDouble("flush-p99-target", 0.050);
+    core.admission.queue_depth_target =
+        args.GetDouble("queue-target", core.admission.queue_depth_target);
+    core.admin_token = args.Get("admin-token", "");
+    core.max_batch =
+        static_cast<size_t>(std::max(1, args.GetInt("net-batch", 64)));
   }
   const std::vector<sparksim::QueryPlan> plans = SuitePlans(args, "tpcds");
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 37));
-  ServingSetup setup(args, plans, nullptr, seed);
-  if (!setup.Open(/*need_chain=*/false)) return 1;
+  net::ServingStack stack(plans, nullptr, seed, std::move(options));
+  if (!OpenStack(&stack, /*require_chain=*/false)) return 1;
   if (listen) {
-    return setup.Close(
-        DriveListen(args, plans, server_options, &setup.service()), "prom");
+    return FinishStack(&stack, DriveListen(args, &stack), args, "prom");
   }
 
   tools::ConcurrentDriverOptions driver_options;
@@ -917,7 +785,7 @@ int RunServe(const Args& args) {
               "threads%s\n\n",
               plans.size(), driver_options.iterations, driver_options.threads,
               driver_options.chaos ? " under injected faults" : "");
-  tools::ConcurrentDriver driver(&setup.service(), driver_options);
+  tools::ConcurrentDriver driver(&stack.service(), driver_options);
   const tools::ConcurrentDriverReport report = driver.Run(plans);
   std::printf("served %zu queries in %.2f s: %.0f queries/s\n", report.queries,
               report.wall_seconds, report.queries_per_second);
@@ -928,7 +796,7 @@ int RunServe(const Args& args) {
                 report.duplicated_events, report.reordered_events,
                 report.corrupted_events);
   }
-  return setup.Close(0, "prom");
+  return FinishStack(&stack, 0, args, "prom");
 }
 
 // Runtime control plane: one authenticated Admin frame against a running

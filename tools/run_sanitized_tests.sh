@@ -11,8 +11,13 @@
 #                   load, concurrent ParallelFor, parallel arms), the
 #                   QueryPlan stats cache's CAS publication, and the
 #                   epoll front end (multi-thread event loop, session
-#                   batching, admission sampling) via the closing
-#                   serve → loadgen loopback smoke
+#                   batching, admission sampling) via the serve → loadgen
+#                   loopback section of the cli_smoke test
+#
+# The suite includes cli_smoke (tests/cli/cli_smoke.sh), so the sanitized
+# CLI also runs its tiered-state serve (eviction, idle sweeps, online and
+# offline compaction, recovery) and its loopback serve --listen → loadgen
+# → SIGTERM → recover round trip.
 #
 # Sanitized builds compile with -DROCKHOPPER_SIM=ON so the Buggify fault
 # sections (src/sim/buggify.h) are live: the suite's sim tests and the
@@ -67,84 +72,3 @@ echo "== ${mode}: transfer-tier HNSW build/search + concurrency =="
 echo "== ${mode}: rockhopper simulate smoke sweep =="
 "${build_dir}/tools/rockhopper" simulate --seeds=1..5 \
   --scratch="${build_dir}/sim-scratch"
-
-# Tiered-state smoke under the sanitizer: a multi-threaded serve with an
-# eviction budget tight enough to churn the clock hand, a 5 ms idle sweeper,
-# periodic journal checkpoints, then an explicit offline checkpoint and a
-# chain recovery of the resulting image (evict / sweep / fault-in / rotate /
-# truncate / recover all race under the sanitizer's eyes).
-echo "== ${mode}: tiered-state serve + checkpoint + recover smoke =="
-state_scratch="${build_dir}/state-scratch"
-rm -rf "${state_scratch}"
-mkdir -p "${state_scratch}"
-"${build_dir}/tools/rockhopper" serve --threads=8 --iters=12 \
-  --journal="${state_scratch}/smoke.journal" \
-  --state-dir="${state_scratch}/store" \
-  --memory-budget=65536 --checkpoint-interval=50 \
-  --idle-ttl=2 --sweep-interval-ms=5
-"${build_dir}/tools/rockhopper" checkpoint \
-  --journal="${state_scratch}/smoke.journal"
-"${build_dir}/tools/rockhopper" recover --suite=tpcds \
-  --journal="${state_scratch}/smoke.journal"
-# The same shape with no budget: the tier every service has (no cold
-# store) checkpoints by its delta policy while 8 threads release states
-# through the sizing path, and lazy recovery runs without a budget.
-"${build_dir}/tools/rockhopper" serve --threads=8 --iters=12 \
-  --journal="${state_scratch}/default.journal" --checkpoint-interval=50
-"${build_dir}/tools/rockhopper" recover --suite=tpcds \
-  --journal="${state_scratch}/default.journal" --lazy-recovery=true
-
-# Network smoke under the sanitizer: a real epoll server with two I/O
-# threads takes loopback traffic from a multi-threaded loadgen (closed-loop
-# workers plus an open-loop noisy tenant hammering the token buckets), then
-# drains on SIGTERM. Races between the event loop, the session batcher, the
-# admission sampler, the group-commit journal writer and the online
-# compactor all run under the sanitizer here. The chain the server leaves
-# must recover every observation its exit report accepted.
-echo "== ${mode}: loopback serve → loadgen smoke =="
-net_scratch="${build_dir}/net-scratch"
-rm -rf "${net_scratch}"
-mkdir -p "${net_scratch}"
-"${build_dir}/tools/rockhopper" serve --listen=127.0.0.1:0 --io-threads=2 \
-  --journal="${net_scratch}/serve.journal" --tenant-rate=500 \
-  --checkpoint-interval=500 \
-  --metrics-format=off > "${net_scratch}/serve.log" 2>&1 &
-serve_pid=$!
-serve_port=""
-for _ in $(seq 100); do
-  serve_port="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
-    "${net_scratch}/serve.log" | head -1)"
-  [[ -n "${serve_port}" ]] && break
-  if ! kill -0 "${serve_pid}" 2> /dev/null; then
-    echo "ERROR: sanitized serve died during startup:" >&2
-    cat "${net_scratch}/serve.log" >&2
-    exit 1
-  fi
-  sleep 0.1
-done
-[[ -n "${serve_port}" ]] || { echo "ERROR: serve never bound" >&2; exit 1; }
-"${build_dir}/tools/rockhopper" loadgen --host=127.0.0.1 \
-  "--port=${serve_port}" --tenants=2 --concurrency=2 --noisy-rate=2000 \
-  --duration-s=3 --propose-fraction=0.05 --json=true
-kill -TERM "${serve_pid}"
-if ! wait "${serve_pid}"; then
-  echo "ERROR: sanitized serve exited nonzero:" >&2
-  cat "${net_scratch}/serve.log" >&2
-  exit 1
-fi
-cat "${net_scratch}/serve.log"
-[[ -f "${net_scratch}/serve.journal.checkpoint" ]] || {
-  echo "ERROR: serve --checkpoint-interval published no checkpoint" >&2
-  exit 1
-}
-accepted="$(sed -n 's/^sanitizer: \([0-9]*\) accepted.*/\1/p' \
-  "${net_scratch}/serve.log")"
-"${build_dir}/tools/rockhopper" recover --suite=tpcds \
-  --journal="${net_scratch}/serve.journal" > "${net_scratch}/recover.log"
-cat "${net_scratch}/recover.log"
-grep -q "recovered [0-9]* signatures, ${accepted} observations" \
-  "${net_scratch}/recover.log" || {
-  echo "ERROR: recovery does not restore the ${accepted} accepted" \
-    "observations" >&2
-  exit 1
-}
